@@ -15,7 +15,7 @@
 //! `results/flownet_scale.metrics.json` — the repo's first perf-trajectory
 //! baseline.
 
-use netsession_bench::runner::write_metrics_sidecar;
+use netsession_bench::runner::{write_metrics_sidecar, Cli};
 use netsession_core::rng::DetRng;
 use netsession_core::units::Bandwidth;
 use netsession_obs::MetricsRegistry;
@@ -36,7 +36,13 @@ struct Swarm {
     flows: Vec<(FlowId, FlowId)>,
 }
 
+const USAGE: &str = "usage: flownet_scale   (no options: checksums on stdout, timings on stderr)";
+
 fn main() {
+    let mut cli = Cli::new(USAGE);
+    if let Some(arg) = cli.arg() {
+        cli.fail(&format!("unknown argument {arg}"));
+    }
     let registry = MetricsRegistry::new();
     println!("FlowNet scaling: incremental recompute_dirty vs full recompute");
     println!(

@@ -51,7 +51,7 @@
 //! is deliberately generous (factor-of-five) so CI only fails on real
 //! regressions, not scheduler noise.
 
-use netsession_bench::runner::{config_for, ExperimentArgs};
+use netsession_bench::runner::{config_for, Cli, ExperimentArgs};
 use netsession_core::fxhash::{FxBuildHasher, FxHasher};
 use netsession_core::hash::Sha256;
 use netsession_core::rng::DetRng;
@@ -1021,8 +1021,16 @@ fn check(committed_path: &str) -> Result<(), String> {
     Ok(())
 }
 
+const USAGE: &str = "\
+usage: perfbench                          full campaign, writes results/bench/BENCH_10.json
+       perfbench --smoke [--out PATH]     seconds-scale run, writes PATH or stdout
+       perfbench --check COMMITTED.json   smoke run + schema lint + regression gate
+       perfbench --trend [--require N]    trajectory table over every BENCH snapshot
+  extra: [--baseline-ms MS] [--current-ms MS] [--baseline-commit SHA]
+";
+
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
+    let mut cli = Cli::new(USAGE);
     let mut smoke = false;
     let mut trend = false;
     let mut require_issue: Option<u64> = None;
@@ -1031,57 +1039,17 @@ fn main() {
     let mut baseline_ms: Option<f64> = None;
     let mut current_ms: Option<f64> = None;
     let mut baseline_commit = String::from("seed");
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--check" => {
-                check_path = Some(argv.get(i + 1).expect("--check <BENCH.json>").clone());
-                i += 2;
-            }
-            "--trend" => {
-                trend = true;
-                i += 1;
-            }
-            "--require" => {
-                require_issue = Some(
-                    argv.get(i + 1)
-                        .expect("--require <issue>")
-                        .parse()
-                        .expect("--require <issue>"),
-                );
-                i += 2;
-            }
-            "--out" => {
-                out_path = Some(argv.get(i + 1).expect("--out <path>").clone());
-                i += 2;
-            }
-            "--baseline-ms" => {
-                baseline_ms = Some(
-                    argv.get(i + 1)
-                        .expect("--baseline-ms <ms>")
-                        .parse()
-                        .expect("--baseline-ms <ms>"),
-                );
-                i += 2;
-            }
-            "--current-ms" => {
-                current_ms = Some(
-                    argv.get(i + 1)
-                        .expect("--current-ms <ms>")
-                        .parse()
-                        .expect("--current-ms <ms>"),
-                );
-                i += 2;
-            }
-            "--baseline-commit" => {
-                baseline_commit = argv.get(i + 1).expect("--baseline-commit <sha>").clone();
-                i += 2;
-            }
-            other => panic!("unknown flag {other}"),
+    while let Some(arg) = cli.arg() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--check" => check_path = Some(cli.value(&arg)),
+            "--trend" => trend = true,
+            "--require" => require_issue = Some(cli.value(&arg)),
+            "--out" => out_path = Some(cli.value(&arg)),
+            "--baseline-ms" => baseline_ms = Some(cli.value(&arg)),
+            "--current-ms" => current_ms = Some(cli.value(&arg)),
+            "--baseline-commit" => baseline_commit = cli.value(&arg),
+            other => cli.fail(&format!("unknown argument {other}")),
         }
     }
 

@@ -42,6 +42,7 @@
 //! exceed the nine regions (up to `MAX_SHARDS`, and never above the
 //! population).
 
+use netsession_bench::runner::Cli;
 use netsession_core::time::SimDuration;
 use netsession_hybrid::alerts::{detected_classes, replay_standard_alerts, SeriesDetection};
 use netsession_hybrid::{run_scaled_profiled, FaultSchedule, ScaledAlert, ScaledConfig};
@@ -121,8 +122,34 @@ fn timeseries_sidecar_json(
     s
 }
 
+const USAGE: &str = "\
+usage: scale [--smoke] [--sequential | --parallel] [--chaos] [--no-timeseries]
+             [--peers N] [--days N] [--objects N] [--shards K]
+             [--window-secs S] [--seed S]
+             [--profile-det-out FILE] [--timeseries-out FILE]
+       scale --lint-profile FILE
+       scale --lint-timeseries FILE
+
+Default: 1M peers, 31 days, 16 sub-shards, parallel. --smoke: 20k peers,
+7 days, 2 shards; explicit value flags override it wherever they appear.
+";
+
+/// Run a sidecar lint and exit: 0 when it passes, 1 when it fails.
+fn lint(kind: &str, path: &str, result: Result<(), String>) -> ! {
+    match result {
+        Ok(()) => {
+            println!("{kind} lint OK: {path}");
+            std::process::exit(0)
+        }
+        Err(e) => {
+            eprintln!("{kind} lint FAILED: {e}");
+            std::process::exit(1)
+        }
+    }
+}
+
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
+    let mut cli = Cli::new(USAGE);
     // Overrides are collected first and applied after the base config is
     // chosen, so `--shards 16 --smoke` and `--smoke --shards 16` mean the
     // same thing (explicit flags always beat the smoke preset).
@@ -138,81 +165,38 @@ fn main() {
     let mut shards: Option<usize> = None;
     let mut window_secs: Option<u64> = None;
     let mut seed: Option<u64> = None;
-    let mut i = 1;
-    let next = |argv: &[String], i: &mut usize, flag: &str| -> u64 {
-        let v = argv
-            .get(*i + 1)
-            .unwrap_or_else(|| panic!("{flag} <n>"))
-            .parse()
-            .unwrap_or_else(|_| panic!("{flag} <n>"));
-        *i += 2;
-        v
-    };
-    let next_str = |argv: &[String], i: &mut usize, flag: &str| -> String {
-        let v = argv
-            .get(*i + 1)
-            .unwrap_or_else(|| panic!("{flag} <path>"))
-            .clone();
-        *i += 2;
-        v
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--parallel" => {
-                parallel = true;
-                i += 1;
-            }
-            "--sequential" => {
-                parallel = false;
-                i += 1;
-            }
-            "--peers" => peers = Some(next(&argv, &mut i, "--peers")),
-            "--objects" => objects = Some(next(&argv, &mut i, "--objects")),
-            "--days" => days = Some(next(&argv, &mut i, "--days")),
-            "--shards" => shards = Some(next(&argv, &mut i, "--shards") as usize),
-            "--window-secs" => window_secs = Some(next(&argv, &mut i, "--window-secs")),
-            "--seed" => seed = Some(next(&argv, &mut i, "--seed")),
-            "--chaos" => {
-                chaos = true;
-                i += 1;
-            }
-            "--no-timeseries" => {
-                timeseries = false;
-                i += 1;
-            }
-            "--profile-det-out" => det_out = Some(next_str(&argv, &mut i, "--profile-det-out")),
-            "--timeseries-out" => ts_out = Some(next_str(&argv, &mut i, "--timeseries-out")),
+    while let Some(arg) = cli.arg() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--parallel" => parallel = true,
+            "--sequential" => parallel = false,
+            "--peers" => peers = Some(cli.value(&arg)),
+            "--objects" => objects = Some(cli.value(&arg)),
+            "--days" => days = Some(cli.value(&arg)),
+            "--shards" => shards = Some(cli.value(&arg)),
+            "--window-secs" => window_secs = Some(cli.value(&arg)),
+            "--seed" => seed = Some(cli.value(&arg)),
+            "--chaos" => chaos = true,
+            "--no-timeseries" => timeseries = false,
+            "--profile-det-out" => det_out = Some(cli.value(&arg)),
+            "--timeseries-out" => ts_out = Some(cli.value(&arg)),
             "--lint-timeseries" => {
-                let path = next_str(&argv, &mut i, "--lint-timeseries");
-                match netsession_bench::ts_lint::lint_timeseries(&path) {
-                    Ok(()) => {
-                        println!("timeseries lint OK: {path}");
-                        return;
-                    }
-                    Err(e) => {
-                        eprintln!("timeseries lint FAILED: {e}");
-                        std::process::exit(1);
-                    }
-                }
+                let path: String = cli.value(&arg);
+                lint(
+                    "timeseries",
+                    &path,
+                    netsession_bench::ts_lint::lint_timeseries(&path),
+                )
             }
             "--lint-profile" => {
-                let path = next_str(&argv, &mut i, "--lint-profile");
-                match netsession_bench::profile_lint::lint_profile(&path) {
-                    Ok(()) => {
-                        println!("profile lint OK: {path}");
-                        return;
-                    }
-                    Err(e) => {
-                        eprintln!("profile lint FAILED: {e}");
-                        std::process::exit(1);
-                    }
-                }
+                let path: String = cli.value(&arg);
+                lint(
+                    "profile",
+                    &path,
+                    netsession_bench::profile_lint::lint_profile(&path),
+                )
             }
-            other => panic!("unknown flag {other}"),
+            other => cli.fail(&format!("unknown argument {other}")),
         }
     }
 

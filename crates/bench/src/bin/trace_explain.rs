@@ -1,9 +1,10 @@
-//! Drill into an exported download trace.
+//! Drill into an exported download trace (a `results/<month>.trace.json`
+//! sidecar written by `repro`).
 //!
 //! Usage:
-//!   trace_explain --trace results/headline.trace.json            # index
-//!   trace_explain --trace results/headline.trace.json --download 3
-//!   trace_explain --trace results/headline.trace.json --download 000100000000002a
+//!   trace_explain --trace results/month.trace.json            # index
+//!   trace_explain --trace results/month.trace.json --download 3
+//!   trace_explain --trace results/month.trace.json --download 000100000000002a
 //!
 //! With `--download` (an index from the listing, or a 16-hex-digit trace
 //! id) it prints the full causal narrative for that download: contacts
@@ -11,6 +12,7 @@
 //! and the peer/edge byte split.
 
 use netsession_bench::explain::{downloads, narrate, parse_trace, summarize};
+use netsession_bench::runner::Cli;
 use netsession_obs::json::JsonValue;
 
 fn render(v: &JsonValue) -> String {
@@ -29,25 +31,21 @@ fn render(v: &JsonValue) -> String {
     }
 }
 
+const USAGE: &str = "usage: trace_explain --trace <file.trace.json> [--download <index|trace-id>]";
+
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
+    let mut cli = Cli::new(USAGE);
     let mut trace_path: Option<String> = None;
     let mut selector: Option<String> = None;
-    let mut i = 1;
-    while i + 1 < argv.len() {
-        match argv[i].as_str() {
-            "--trace" => trace_path = Some(argv[i + 1].clone()),
-            "--download" => selector = Some(argv[i + 1].clone()),
-            other => {
-                eprintln!("unknown flag {other} (expected --trace/--download)");
-                std::process::exit(2);
-            }
+    while let Some(arg) = cli.arg() {
+        match arg.as_str() {
+            "--trace" => trace_path = Some(cli.value(&arg)),
+            "--download" => selector = Some(cli.value(&arg)),
+            other => cli.fail(&format!("unknown argument {other}")),
         }
-        i += 2;
     }
     let Some(path) = trace_path else {
-        eprintln!("usage: trace_explain --trace <file.trace.json> [--download <index|trace-id>]");
-        std::process::exit(2);
+        cli.fail("--trace is required")
     };
     let input = match std::fs::read_to_string(&path) {
         Ok(s) => s,

@@ -19,6 +19,7 @@
 //! output is byte-deterministic and diffable in gates.
 
 use netsession_analytics::timeseries::{diurnal_profile, peak_trough, top_anomalies};
+use netsession_bench::runner::Cli;
 use netsession_hybrid::alerts::FAULT_CLASS_RULES;
 use netsession_obs::{json, MergedSeries};
 
@@ -37,25 +38,18 @@ struct Detection {
     at_us: u64,
 }
 
+const USAGE: &str =
+    "usage: tsreport [path] [--top N]   (default path results/scale.timeseries.json)";
+
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
+    let mut cli = Cli::new(USAGE);
     let mut path = "results/scale.timeseries.json".to_string();
     let mut top_n = 8usize;
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--top" => {
-                top_n = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--top <n>"));
-                i += 2;
-            }
-            flag if flag.starts_with("--") => panic!("unknown flag {flag}"),
-            p => {
-                path = p.to_string();
-                i += 1;
-            }
+    while let Some(arg) = cli.arg() {
+        match arg.as_str() {
+            "--top" => top_n = cli.value(&arg),
+            flag if flag.starts_with('-') => cli.fail(&format!("unknown flag {flag}")),
+            _ => path = arg,
         }
     }
 

@@ -1,17 +1,17 @@
 //! # netsession-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md's per-experiment index), ablation binaries, and Criterion
-//! micro-benchmarks in `benches/`.
-//!
-//! All experiment binaries accept `--scale <peers>` and `--downloads <n>`
-//! to trade fidelity for runtime, and print the same rows/series the paper
-//! reports.
+//! The experiment harness. The `repro` binary renders every table and
+//! figure of the paper, the ablations and the chaos campaign from as few
+//! simulated months as possible (see DESIGN.md's per-experiment index);
+//! [`reports`] holds its pure renderers and [`runner`] the shared
+//! command-line parser, standard scenario and sidecar writers. The other
+//! binaries are the sharded `scale` runner, `perfbench`, `tsreport`,
+//! `trace_explain` and `flownet_scale`; Criterion micro-benchmarks live in
+//! `benches/`.
 
 pub mod explain;
 pub mod profile_lint;
+pub mod reports;
 pub mod runner;
 pub mod trend;
 pub mod ts_lint;
-
-pub use runner::{parse_args, run_default, ExperimentArgs};

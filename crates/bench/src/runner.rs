@@ -1,11 +1,76 @@
-//! Shared experiment plumbing: argument parsing and the standard run.
+//! Shared experiment plumbing: the command-line parser, the standard
+//! scenario and the sidecar writers.
 
-use netsession_hybrid::{HybridSim, ScenarioConfig, SimOutput};
+use netsession_hybrid::ScenarioConfig;
 use netsession_obs::{MetricsRegistry, TraceSink};
 use netsession_world::population::PopulationConfig;
 use netsession_world::workload::WorkloadConfig;
 
-/// Command-line knobs shared by every experiment binary.
+/// The command-line parser behind every bench binary.
+///
+/// Arguments are `--flag` switches, `--flag <value>` options and bare
+/// positionals. `--help`, an unknown flag, a flag missing its value and a
+/// value that does not parse are all usage errors: the `try_*` methods
+/// return them, and the plain methods print the message and the usage text
+/// on stderr and exit with code 2.
+pub struct Cli {
+    usage: &'static str,
+    args: std::vec::IntoIter<String>,
+}
+
+impl Cli {
+    /// Parse this process's arguments; `usage` is printed on any error.
+    pub fn new(usage: &'static str) -> Cli {
+        Cli::from_args(usage, std::env::args().skip(1))
+    }
+
+    /// Parse the given arguments (program name excluded).
+    pub fn from_args(usage: &'static str, args: impl IntoIterator<Item = String>) -> Cli {
+        let args: Vec<String> = args.into_iter().collect();
+        Cli {
+            usage,
+            args: args.into_iter(),
+        }
+    }
+
+    /// The next argument, or an error on `--help`.
+    pub fn try_arg(&mut self) -> Result<Option<String>, String> {
+        match self.args.next() {
+            Some(a) if a == "--help" || a == "-h" => Err(String::new()),
+            next => Ok(next),
+        }
+    }
+
+    /// The value that must follow `flag`, parsed.
+    pub fn try_value<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        let v = self
+            .args
+            .next()
+            .ok_or_else(|| format!("{flag} needs a value"))?;
+        v.parse().map_err(|_| format!("{flag}: bad value {v:?}"))
+    }
+
+    /// [`Cli::try_arg`], exiting on error.
+    pub fn arg(&mut self) -> Option<String> {
+        self.try_arg().unwrap_or_else(|e| self.fail(&e))
+    }
+
+    /// [`Cli::try_value`], exiting on error.
+    pub fn value<T: std::str::FromStr>(&mut self, flag: &str) -> T {
+        self.try_value(flag).unwrap_or_else(|e| self.fail(&e))
+    }
+
+    /// Print `msg` (if any) and the usage text on stderr; exit with code 2.
+    pub fn fail(&self, msg: &str) -> ! {
+        if !msg.is_empty() {
+            eprintln!("error: {msg}\n");
+        }
+        eprintln!("{}", self.usage.trim_end());
+        std::process::exit(2)
+    }
+}
+
+/// Scale and seed of the standard month: `--scale`, `--downloads`, `--seed`.
 #[derive(Clone, Debug)]
 pub struct ExperimentArgs {
     /// Peer population size.
@@ -26,21 +91,23 @@ impl Default for ExperimentArgs {
     }
 }
 
-/// Parse `--scale <peers>`, `--downloads <n>`, `--seed <s>` from argv.
-pub fn parse_args() -> ExperimentArgs {
-    let mut args = ExperimentArgs::default();
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => args.peers = argv[i + 1].parse().expect("--scale <peers>"),
-            "--downloads" => args.downloads = argv[i + 1].parse().expect("--downloads <n>"),
-            "--seed" => args.seed = argv[i + 1].parse().expect("--seed <s>"),
-            other => panic!("unknown flag {other} (expected --scale/--downloads/--seed)"),
+impl ExperimentArgs {
+    /// Read `--scale <peers>`, `--downloads <n>` and `--seed <s>`; every
+    /// argument that is not a flag comes back as a positional.
+    pub fn parse(cli: &mut Cli) -> Result<(ExperimentArgs, Vec<String>), String> {
+        let mut args = ExperimentArgs::default();
+        let mut positionals = Vec::new();
+        while let Some(arg) = cli.try_arg()? {
+            match arg.as_str() {
+                "--scale" => args.peers = cli.try_value(&arg)?,
+                "--downloads" => args.downloads = cli.try_value(&arg)?,
+                "--seed" => args.seed = cli.try_value(&arg)?,
+                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+                _ => positionals.push(arg),
+            }
         }
-        i += 2;
+        Ok((args, positionals))
     }
-    args
 }
 
 /// Build the standard scenario config for experiment args.
@@ -61,20 +128,15 @@ pub fn config_for(args: &ExperimentArgs) -> ScenarioConfig {
     }
 }
 
-/// Run the standard scenario.
-pub fn run_default(args: &ExperimentArgs) -> SimOutput {
-    HybridSim::run_config(config_for(args))
-}
-
 /// Render a fraction as a percent string.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Write the run's metrics snapshot next to the experiment results as
-/// `results/<name>.metrics.json`. The sidecar is a separate file, so the
-/// experiment's stdout stays byte-identical run-to-run; the snapshot itself
-/// includes the volatile (wall-clock) section for perf inspection.
+/// Write a run's metrics snapshot next to the experiment results as
+/// `results/<name>.metrics.json`. The snapshot includes the volatile
+/// (wall-clock) section for perf inspection, so unlike the reports it is
+/// not byte-identical run-to-run.
 pub fn write_metrics_sidecar(name: &str, metrics: &MetricsRegistry) {
     let dir = std::path::Path::new("results");
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -88,12 +150,10 @@ pub fn write_metrics_sidecar(name: &str, metrics: &MetricsRegistry) {
     }
 }
 
-/// Write the run's sampled download traces as Chrome trace-event JSON
+/// Write a month's sampled download traces as Chrome trace-event JSON
 /// (`results/<name>.trace.json`, loadable in Perfetto / `chrome://tracing`
-/// and readable by the `trace_explain` binary). Like the metrics sidecar
-/// this goes to a separate file so experiment stdout stays byte-identical;
-/// unlike it, the export itself is fully deterministic — same seed, same
-/// bytes.
+/// and readable by the `trace_explain` binary). Unlike the metrics
+/// sidecar the export is fully deterministic — same seed, same bytes.
 pub fn write_trace_sidecar(name: &str, trace: &TraceSink) {
     let dir = std::path::Path::new("results");
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -130,6 +190,47 @@ mod tests {
         assert_eq!(c.workload.downloads, 2_000);
         assert!(c.population.ases >= 100);
         assert!(c.objects >= 250);
+    }
+
+    fn parse(argv: &[&str]) -> Result<(ExperimentArgs, Vec<String>), String> {
+        let mut cli = Cli::from_args("usage", argv.iter().map(|a| a.to_string()));
+        ExperimentArgs::parse(&mut cli)
+    }
+
+    #[test]
+    fn parses_flags_and_positionals_in_any_order() {
+        let (a, views) = parse(&["fig2", "--scale", "2000", "table1", "--seed", "7"]).unwrap();
+        assert_eq!((a.peers, a.downloads, a.seed), (2000, 40_000, 7));
+        assert_eq!(views, ["fig2", "table1"]);
+    }
+
+    #[test]
+    fn help_is_a_usage_error() {
+        assert!(parse(&["--help"]).is_err());
+        assert!(parse(&["fig2", "-h"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_is_a_usage_error() {
+        assert_eq!(
+            parse(&["--bogus", "1"]).unwrap_err(),
+            "unknown flag --bogus"
+        );
+    }
+
+    #[test]
+    fn dangling_flag_is_a_usage_error() {
+        assert_eq!(parse(&["--scale"]).unwrap_err(), "--scale needs a value");
+        assert!(parse(&["--downloads", "10", "--seed"]).is_err());
+    }
+
+    #[test]
+    fn bad_value_is_a_usage_error() {
+        assert_eq!(
+            parse(&["--scale", "lots"]).unwrap_err(),
+            "--scale: bad value \"lots\""
+        );
+        assert!(parse(&["--seed", "-1"]).is_err());
     }
 
     #[test]

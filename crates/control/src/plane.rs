@@ -329,11 +329,6 @@ impl ControlPlane {
             .collect()
     }
 
-    /// All login-log entries across CNs.
-    pub fn login_logs(&self) -> impl Iterator<Item = &crate::cn::LoginLogEntry> + '_ {
-        self.cns.iter().flat_map(|cn| cn.login_log().iter())
-    }
-
     /// Holders of a version in one region's DN.
     pub fn holder_count(&self, region: u32, version: VersionId) -> usize {
         self.dns[region as usize].holder_count(version)

@@ -38,14 +38,6 @@ impl ByteCount {
     pub const fn bytes(self) -> u64 {
         self.0
     }
-    /// As fractional mebibytes.
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
-    /// As fractional gibibytes.
-    pub fn as_gib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0 * 1024.0)
-    }
 
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: ByteCount) -> ByteCount {
@@ -126,10 +118,6 @@ impl Bandwidth {
     /// From megabits per second (the paper's unit).
     pub fn from_mbps(mbps: f64) -> Self {
         Bandwidth(mbps.max(0.0) * 1e6 / 8.0)
-    }
-    /// From kilobits per second.
-    pub fn from_kbps(kbps: f64) -> Self {
-        Bandwidth(kbps.max(0.0) * 1e3 / 8.0)
     }
 
     /// Bytes per second.

@@ -87,18 +87,6 @@ impl AccountingLedger {
         self.authorized.lock().unwrap().insert((guid, version));
     }
 
-    /// Total bytes receipted across all (GUID, version) pairs.
-    pub fn total_edge_bytes(&self) -> ByteCount {
-        ByteCount::from_bytes(
-            self.receipts
-                .lock()
-                .unwrap()
-                .values()
-                .map(|b| b.bytes())
-                .sum(),
-        )
-    }
-
     /// Receipted bytes for a (GUID, version).
     pub fn receipted(&self, guid: Guid, version: VersionId) -> ByteCount {
         self.receipts

@@ -193,22 +193,6 @@ impl EdgeServer {
         self.record_served(guid, version, bytes);
     }
 
-    /// Cross-check this server's byte counter against the ledger's edge
-    /// receipts, recording the outcome as `edge.accounting_ok` /
-    /// `edge.accounting_mismatch`. Returns `true` when they agree.
-    pub fn verify_accounting(&self) -> bool {
-        let served = self.served.lock().unwrap().bytes();
-        let receipts = self.ledger.total_edge_bytes().bytes();
-        let ok = served == receipts;
-        let name = if ok {
-            "edge.accounting_ok"
-        } else {
-            "edge.accounting_mismatch"
-        };
-        self.metrics.counter(name).incr();
-        ok
-    }
-
     fn check_token(&self, token: &AuthToken, now: SimTime) -> Result<()> {
         if !self.auth.verify(token, now) {
             return Err(Error::Unauthorized("bad or expired token".into()));

@@ -284,15 +284,6 @@ impl HybridSim {
         self
     }
 
-    /// Record download traces into `sink` instead of the sim's own sink.
-    /// Sharing one sink across runs (sweeps, ablations) keeps sampling
-    /// deterministic — the trace counter simply continues. Passive, like
-    /// `with_metrics`.
-    pub fn with_trace(mut self, sink: &TraceSink) -> Self {
-        self.trace = sink.clone();
-        self
-    }
-
     /// Convenience: build and run a config.
     pub fn run_config(config: ScenarioConfig) -> SimOutput {
         HybridSim::new(Scenario::build(config)).run()
@@ -304,19 +295,6 @@ impl HybridSim {
     pub fn run_config_with(config: ScenarioConfig, registry: &MetricsRegistry) -> SimOutput {
         HybridSim::new(Scenario::build(config))
             .with_metrics(registry)
-            .run()
-    }
-
-    /// Build and run a config, recording into caller-supplied metrics
-    /// *and* trace sinks (multi-run experiments accumulate both).
-    pub fn run_config_traced(
-        config: ScenarioConfig,
-        registry: &MetricsRegistry,
-        sink: &TraceSink,
-    ) -> SimOutput {
-        HybridSim::new(Scenario::build(config))
-            .with_metrics(registry)
-            .with_trace(sink)
             .run()
     }
 

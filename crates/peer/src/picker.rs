@@ -120,11 +120,6 @@ impl PiecePicker {
         self.in_flight.remove(&piece);
     }
 
-    /// Number of requests in flight.
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight.len()
-    }
-
     /// Availability of a piece among connected peers.
     pub fn availability(&self, piece: PieceIndex) -> u32 {
         self.availability[piece as usize]

@@ -90,11 +90,6 @@ impl SwarmSession {
         self.mine.is_complete()
     }
 
-    /// Connected remote count.
-    pub fn remote_count(&self) -> usize {
-        self.remotes.len()
-    }
-
     /// A remote finished handshaking and sent its have-map. Returns
     /// follow-up actions (typically an immediate request).
     pub fn on_peer_joined(

@@ -13,29 +13,35 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 echo "== cargo test --workspace"
 cargo test -q --workspace
 
-echo "== trace determinism (same seed => byte-identical export)"
-cargo build -q --release -p netsession-bench --bin headline
-bin="$PWD/target/release/headline"
+echo "== results golden (default repro == committed results/*.txt, alerts and traces)"
+# The default repro run simulates the standard month and the chaos
+# campaign and renders every default view; each report it writes must be
+# byte-identical to the committed one, and so must the deterministic
+# alert log and the two months' trace exports. Runs in $tmp so the
+# committed results/ are only read.
+cargo build -q --release -p netsession-bench --bin repro
+repro_bin="$PWD/target/release/repro"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-(cd "$tmp" && "$bin" --scale 2000 --downloads 3000 >run1.txt 2>/dev/null && mv results/headline.trace.json trace1.json)
-(cd "$tmp" && "$bin" --scale 2000 --downloads 3000 >run2.txt 2>/dev/null && mv results/headline.trace.json trace2.json)
-cmp "$tmp/run1.txt" "$tmp/run2.txt"
-cmp "$tmp/trace1.json" "$tmp/trace2.json"
+mkdir "$tmp/golden"
+(cd "$tmp/golden" && "$repro_bin" 2>/dev/null)
+for f in "$tmp"/golden/results/*.txt "$tmp"/golden/results/*.trace.json \
+         "$tmp/golden/results/alerts.json"; do
+    cmp "$f" "results/$(basename "$f")"
+done
 
-echo "== chaos determinism (same seed => byte-identical campaign + trace + alerts)"
-cargo build -q --release -p netsession-bench --bin chaos
-chaos_bin="$PWD/target/release/chaos"
-(cd "$tmp" && "$chaos_bin" --scale 2000 --downloads 3000 >chaos1.txt 2>/dev/null \
-    && mv results/chaos.trace.json chaos_trace1.json \
-    && mv results/alerts.txt alerts1.txt && mv results/alerts.json alerts1.json)
-(cd "$tmp" && "$chaos_bin" --scale 2000 --downloads 3000 >chaos2.txt 2>/dev/null \
-    && mv results/chaos.trace.json chaos_trace2.json \
-    && mv results/alerts.txt alerts2.txt && mv results/alerts.json alerts2.json)
-cmp "$tmp/chaos1.txt" "$tmp/chaos2.txt"
-cmp "$tmp/chaos_trace1.json" "$tmp/chaos_trace2.json"
-cmp "$tmp/alerts1.txt" "$tmp/alerts2.txt"
-cmp "$tmp/alerts1.json" "$tmp/alerts2.json"
+echo "== repro determinism (same seed => byte-identical reports, traces and alerts)"
+# Two reduced-scale runs of the headline and the chaos campaign: reports,
+# both months' trace exports and the alert sidecars must match
+# byte-for-byte (the metrics sidecars carry wall-clock timings).
+for run in 1 2; do
+    mkdir "$tmp/det$run"
+    (cd "$tmp/det$run" && "$repro_bin" --scale 2000 --downloads 3000 headline chaos 2>/dev/null)
+done
+for f in headline.txt chaos.txt alerts.txt alerts.json \
+         month.2000x3000.s20121001.trace.json chaos.2000x3000.s20121001.trace.json; do
+    cmp "$tmp/det1/results/$f" "$tmp/det2/results/$f"
+done
 
 echo "== alert coverage (every hybrid.fault.* counter ruled or allowlisted)"
 counters="$(grep -rhoE 'hybrid\.fault\.[a-z_]+' crates/hybrid/src --include='*.rs' --exclude=alerts.rs | sort -u)"
