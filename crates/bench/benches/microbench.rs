@@ -221,8 +221,8 @@ fn bench_hashers(c: &mut Criterion) {
 }
 
 fn bench_scrape(c: &mut Criterion) {
-    // Registry shaped like a real run's scrape load: the alert loop calls
-    // this ~43k times per headline run.
+    // Registry shaped like a real run's: what one live `/metrics` scrape
+    // or a monitor poll walks.
     let reg = netsession_obs::MetricsRegistry::new();
     for i in 0..40 {
         reg.counter(&format!("bench.counter_{i:02}")).add(i);
@@ -236,20 +236,6 @@ fn bench_scrape(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("obs/scrape");
     group.bench_function("fresh", |b| b.iter(|| reg.scrape().counters.len()));
-    let mut snap = reg.scrape();
-    group.bench_function("into_reused", |b| {
-        b.iter(|| {
-            reg.scrape_into(&mut snap);
-            snap.counters.len()
-        })
-    });
-    let mut snap2 = reg.scrape();
-    group.bench_function("scalars_only", |b| {
-        b.iter(|| {
-            reg.scrape_scalars_into(&mut snap2);
-            snap2.counters.len()
-        })
-    });
     group.finish();
 }
 

@@ -9,11 +9,10 @@
 //! * `hashing` — the in-tree FxHasher vs. std's SipHash-1-3, raw hashing
 //!   and a map insert/lookup workload.
 //! * `alloc_churn` — allocations per operation on paths the campaign
-//!   de-churned (flownet scratch reuse, snapshot-reusing scrapes, the
-//!   geo-db borrowed-record fast path), counted by a global allocator.
+//!   de-churned (flownet scratch reuse, the geo-db borrowed-record fast
+//!   path), counted by a global allocator.
 //! * `obs` — instrumentation cost: the same sim with tracing at every
-//!   download, the default 1-in-1024 sampling, and effectively off, plus
-//!   scrape-variant timings.
+//!   download, the default 1-in-1024 sampling, and effectively off.
 //! * `scale` — the sharded million-peer runner (`run_scaled`): sequential
 //!   oracle vs. parallel at the same shard count, outputs asserted
 //!   identical before either timing is reported, plus peak RSS for the
@@ -372,48 +371,6 @@ fn geodb_churn(iters: usize) -> ((f64, f64), (f64, f64)) {
     (rec, ins)
 }
 
-/// Scrape variants against a registry populated by a real run:
-/// fresh `scrape()` per call vs. snapshot-reusing `scrape_into` vs. the
-/// alert loop's scalars-only path. Returns [(ns/op, allocs/op); 3].
-fn scrape_churn(registry: &MetricsRegistry, iters: usize) -> [(f64, f64); 3] {
-    let mut out = [(0.0, 0.0); 3];
-
-    let t = Instant::now();
-    let (a, _, _) = alloc_delta(|| {
-        for _ in 0..iters {
-            black_box(registry.scrape().counters.len());
-        }
-    });
-    out[0] = (
-        t.elapsed().as_nanos() as f64 / iters as f64,
-        a as f64 / iters as f64,
-    );
-
-    let mut snap = registry.scrape();
-    let t = Instant::now();
-    let (a, _, _) = alloc_delta(|| {
-        for _ in 0..iters {
-            registry.scrape_into(&mut snap);
-        }
-    });
-    out[1] = (
-        t.elapsed().as_nanos() as f64 / iters as f64,
-        a as f64 / iters as f64,
-    );
-
-    let t = Instant::now();
-    let (a, _, _) = alloc_delta(|| {
-        for _ in 0..iters {
-            registry.scrape_scalars_into(&mut snap);
-        }
-    });
-    out[2] = (
-        t.elapsed().as_nanos() as f64 / iters as f64,
-        a as f64 / iters as f64,
-    );
-    out
-}
-
 // ---------------------------------------------------------------------------
 // obs family
 
@@ -548,16 +505,6 @@ fn run_campaign(c: &Campaign) -> String {
     eprintln!("# alloc_churn family");
     let (fn_ns, fn_allocs) = flownet_churn(1_000, if c.smoke { 20 } else { 100 });
     let ((rec_ns, rec_allocs), (ins_ns, ins_allocs)) = geodb_churn(scale(200_000).max(20_000));
-    // A registry shaped like a real run's: reuse the macro A/B's registry.
-    let reg = MetricsRegistry::new();
-    let _ = HybridSim::new(Scenario::build(config_for(&ExperimentArgs {
-        peers: 2_000,
-        downloads: 3_000,
-        ..ExperimentArgs::default()
-    })))
-    .with_metrics(&reg)
-    .run();
-    let scrapes = scrape_churn(&reg, scale(20_000).max(2_000));
 
     eprintln!("# obs family");
     let obs_args = if c.smoke {
@@ -726,12 +673,6 @@ fn run_campaign(c: &Campaign) -> String {
     j.num(3, "geodb_record_allocs_per_op", rec_allocs);
     j.num(3, "geodb_insert_ns", ins_ns);
     j.num(3, "geodb_insert_allocs_per_op", ins_allocs);
-    j.num(3, "scrape_fresh_ns", scrapes[0].0);
-    j.num(3, "scrape_fresh_allocs_per_op", scrapes[0].1);
-    j.num(3, "scrape_into_ns", scrapes[1].0);
-    j.num(3, "scrape_into_allocs_per_op", scrapes[1].1);
-    j.num(3, "scrape_scalars_ns", scrapes[2].0);
-    j.num(3, "scrape_scalars_allocs_per_op", scrapes[2].1);
     j.close(2);
 
     j.open(2, "obs");

@@ -9,8 +9,8 @@
 //! read the standard month of [`config_for`], and the sweeps and the chaos
 //! campaign add tweaked months whose baseline rows are that same standard
 //! month. `repro` simulates each distinct month once, writes
-//! `results/<view>.txt` per view (plus `alerts.txt` / `alerts.json` for
-//! `chaos`), and one `results/<month>.metrics.json` /
+//! `results/<view>.txt` per view (plus `alerts.txt` and the
+//! `chaos.timeseries.json` sidecar for `chaos`), and one `results/<month>.metrics.json` /
 //! `results/<month>.trace.json` sidecar pair per simulated month. With no
 //! view named it renders the default set: two months in all, the standard
 //! one and the chaos campaign. Progress goes to stderr.
@@ -177,7 +177,10 @@ fn render(view: &str, args: &ExperimentArgs, m: &[&SimOutput]) -> Vec<(String, S
             return vec![
                 ("chaos.txt".into(), reports::chaos(m[0], m[1])),
                 ("alerts.txt".into(), reports::alerts_txt(m[1])),
-                ("alerts.json".into(), reports::alerts_json(m[0], m[1])),
+                (
+                    "chaos.timeseries.json".into(),
+                    reports::chaos_timeseries_json(m[1]),
+                ),
             ]
         }
         other => unreachable!("unknown view {other}"),

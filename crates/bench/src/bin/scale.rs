@@ -42,14 +42,12 @@
 //! exceed the nine regions (up to `MAX_SHARDS`, and never above the
 //! population).
 
-use netsession_bench::runner::Cli;
+use netsession_bench::runner::{timeseries_sidecar_json, Cli};
 use netsession_core::time::SimDuration;
-use netsession_hybrid::alerts::{detected_classes, replay_standard_alerts, SeriesDetection};
+use netsession_hybrid::alerts::{detected_classes, replay_standard_alerts};
 use netsession_hybrid::{run_scaled_profiled, FaultSchedule, ScaledAlert, ScaledConfig};
 use netsession_logs::{ProfileDigest, SeriesDigest};
-use netsession_obs::json::push_str_literal;
 use netsession_obs::profile::{ImbalanceStats, ShardProfiler};
-use netsession_obs::MergedSeries;
 use netsession_obs::MetricsRegistry;
 use std::time::Instant;
 
@@ -60,66 +58,6 @@ fn peak_rss_kb() -> Option<u64> {
         .find(|l| l.starts_with("VmHWM:"))
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse().ok())
-}
-
-/// The `netsession-timeseries/1` sidecar: schema tag, recomputable series
-/// digest, the merged series, the structured injected-fault log (region
-/// indices resolved to the series' group labels), and the replayed
-/// detections. Deterministic bytes — the check.sh gate diffs the
-/// sequential and parallel runs' files directly.
-fn timeseries_sidecar_json(
-    ts: &MergedSeries,
-    alerts: &[ScaledAlert],
-    detections: &[SeriesDetection],
-) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"schema\": \"netsession-timeseries/1\",");
-    let _ = writeln!(s, "  \"digest\": \"{}\",", SeriesDigest::fingerprint(ts));
-    let _ = write!(s, "  \"series\": {},\n  \"alerts\": [", ts.to_json());
-    for (i, a) in alerts.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n    {\"class\": ");
-        push_str_literal(&mut s, a.class);
-        let _ = write!(
-            s,
-            ", \"at_hours\": {}, \"window\": {}, \"region\": ",
-            a.at_hours, a.window
-        );
-        push_str_literal(&mut s, &ts.groups[a.region as usize]);
-        let _ = write!(s, ", \"detail\": {}}}", a.detail);
-    }
-    if !alerts.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("],\n  \"detections\": [");
-    for (i, d) in detections.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n    {\"region\": ");
-        match &d.region {
-            Some(r) => push_str_literal(&mut s, r),
-            None => s.push_str("null"),
-        }
-        s.push_str(", \"rule\": ");
-        push_str_literal(&mut s, &d.event.rule);
-        let _ = write!(
-            s,
-            ", \"raised\": {}, \"at_us\": {}, \"message\": ",
-            d.event.raised, d.event.at_us
-        );
-        push_str_literal(&mut s, &d.event.message);
-        s.push('}');
-    }
-    if !detections.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("]\n}\n");
-    s
 }
 
 const USAGE: &str = "\

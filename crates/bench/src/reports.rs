@@ -6,7 +6,7 @@
 //! the clock or touches the file system, so the same month always renders
 //! the same bytes.
 
-use crate::runner::pct;
+use crate::runner::{pct, timeseries_sidecar_json};
 use netsession_analytics::guidgraph::{self, ChainPattern};
 use netsession_analytics::regions::{self, CoverageClass};
 use netsession_analytics::stats::{mean, Cdf};
@@ -18,10 +18,9 @@ use netsession_baseline::bittorrent::{Swarm, SwarmConfig};
 use netsession_core::id::AsNumber;
 use netsession_core::rng::DetRng;
 use netsession_core::time::TRACE_MONTH;
-use netsession_hybrid::alerts::FAULT_CLASS_RULES;
-use netsession_hybrid::{FaultEvent, FaultKind, Scenario, SimOutput};
+use netsession_hybrid::alerts::{first_detection, replay_standard_alerts, FAULT_CLASS_RULES};
+use netsession_hybrid::{FaultEvent, FaultKind, ScaledAlert, Scenario, SimOutput};
 use netsession_logs::records::DownloadOutcome;
-use netsession_obs::json::push_str_literal;
 use netsession_world::customers::{customer_by_cp, customer_by_name, CUSTOMERS};
 use netsession_world::geo::{continent_of, Continent, Region, WORLD_COUNTRIES};
 use std::collections::{BTreeMap, HashMap};
@@ -1264,30 +1263,64 @@ pub fn chaos_campaign() -> Vec<FaultEvent> {
     events
 }
 
-/// First injection hour of each fault class, in [`FAULT_CLASS_RULES`]
-/// order (joined against [`chaos_campaign`]).
-const INJECTION_HOURS: [u64; 4] = [186, 330, 480, 600];
-
 /// One row of the time-to-detection table: fault class, detection rule,
 /// injection instant and the first raise at or after it (virtual µs).
 type Detection = (&'static str, &'static str, u64, Option<u64>);
 
-/// Time-to-detection per fault class: the first raise of the class's
-/// detection rule at-or-after its injection instant.
+/// Time-to-detection of each fault class the month's schedule injects,
+/// in [`FAULT_CLASS_RULES`] order: the class's first injection joined to
+/// its detection by [`first_detection`] (fleet-wide preferred).
 fn detection_table(out: &SimOutput) -> Vec<Detection> {
+    let detections = replay_standard_alerts(&out.timeseries);
+    let faults = &out.scenario.config.faults.events;
     FAULT_CLASS_RULES
         .iter()
-        .zip(INJECTION_HOURS)
-        .map(|((class, rule, _), at_hours)| {
-            let injected_us = at_hours * 3_600_000_000;
-            let detected = out
-                .alerts
+        .filter_map(|(class, rule, _)| {
+            let at_hours = faults
                 .iter()
-                .find(|e| e.rule == *rule && e.raised && e.at_us >= injected_us)
-                .map(|e| e.at_us);
-            (*class, *rule, injected_us, detected)
+                .filter(|f| f.kind.class() == *class)
+                .map(|f| f.at_hours)
+                .min()?;
+            let injected_us = at_hours * 3_600_000_000;
+            let detected =
+                first_detection(&detections, class, None, injected_us).map(|d| d.event.at_us);
+            Some((*class, *rule, injected_us, detected))
         })
         .collect()
+}
+
+/// The month's injected faults in schedule-time order, one record per
+/// region hit, shaped like the sharded runner's fault log so either
+/// engine's sidecar reads the same: a fleet-wide churn burst logs every
+/// region with the peers it dropped there.
+fn injected_faults(out: &SimOutput) -> Vec<ScaledAlert> {
+    let ts = &out.timeseries;
+    let dropped = ts
+        .metric("hybrid.fault.churn_offline")
+        .expect("churn_offline in the catalog");
+    let mut faults = out.scenario.config.faults.events.clone();
+    faults.sort_by_key(|f| f.at_hours);
+    let mut log = Vec::new();
+    for f in faults {
+        let window = (f.at_hours * 3_600_000_000 / ts.interval_us) as u32;
+        let alert = |region: usize, detail: u64| ScaledAlert {
+            class: f.kind.class(),
+            at_hours: f.at_hours,
+            window,
+            region: region as u8,
+            detail,
+        };
+        match f.kind {
+            FaultKind::EdgeOutage { region, secs } => log.push(alert(region as usize, secs)),
+            FaultKind::ChurnBurst { .. } => {
+                for (g, row) in dropped.values.iter().enumerate() {
+                    log.push(alert(g, row[window as usize] as u64));
+                }
+            }
+            kind => log.push(alert(kind.region().expect("regional fault") as usize, 0)),
+        }
+    }
+    log
 }
 
 fn completion_rate(out: &SimOutput) -> f64 {
@@ -1494,8 +1527,8 @@ pub fn chaos(baseline: &SimOutput, out: &SimOutput) -> String {
         }
         writeln!(o)?;
 
-        // §3.8 alerting: the AlertEngine ran over virtual time during both
-        // months; the baseline fired nothing and every class was detected
+        // §3.8 alerting: the standard rules replayed over both months'
+        // series; the baseline fired nothing and every class was detected
         // (both asserted above).
         writeln!(
             o,
@@ -1544,44 +1577,10 @@ pub fn alerts_txt(out: &SimOutput) -> String {
     })
 }
 
-/// `results/alerts.json`: the baseline's alert count, the
-/// time-to-detection table and the chaos month's full transition log.
-pub fn alerts_json(baseline: &SimOutput, out: &SimOutput) -> String {
-    let ttd = detection_table(out);
-    let log = &out.alerts;
-    render(|o| {
-        write!(
-            o,
-            "{{\n  \"baseline_alerts\": {},\n  \"time_to_detection\": [\n",
-            baseline.alerts.len()
-        )?;
-        for (i, (class, rule, injected_us, detected)) in ttd.iter().enumerate() {
-            write!(
-                o,
-                "    {{\"class\": \"{class}\", \"rule\": \"{rule}\", \"injected_us\": {injected_us}, "
-            )?;
-            match detected {
-                Some(at) => write!(
-                    o,
-                    "\"detected_us\": {at}, \"ttd_s\": {:.1}}}",
-                    (at - injected_us) as f64 / 1e6
-                )?,
-                None => o.push_str("\"detected_us\": null, \"ttd_s\": null}"),
-            }
-            o.push_str(if i + 1 < ttd.len() { ",\n" } else { "\n" });
-        }
-        o.push_str("  ],\n  \"log\": [\n");
-        for (i, e) in log.iter().enumerate() {
-            write!(
-                o,
-                "    {{\"at_us\": {}, \"rule\": \"{}\", \"raised\": {}, \"message\": ",
-                e.at_us, e.rule, e.raised
-            )?;
-            push_str_literal(o, &e.message);
-            o.push('}');
-            o.push_str(if i + 1 < log.len() { ",\n" } else { "\n" });
-        }
-        o.push_str("  ]\n}\n");
-        Ok(())
-    })
+/// `results/chaos.timeseries.json`: the chaos month's series in the
+/// `netsession-timeseries/1` schema, with its injected faults and the
+/// fleet-wide and per-region detections replayed over it.
+pub fn chaos_timeseries_json(out: &SimOutput) -> String {
+    let ts = &out.timeseries;
+    timeseries_sidecar_json(ts, &injected_faults(out), &replay_standard_alerts(ts))
 }

@@ -1,8 +1,11 @@
 //! Shared experiment plumbing: the command-line parser, the standard
 //! scenario and the sidecar writers.
 
-use netsession_hybrid::ScenarioConfig;
-use netsession_obs::{MetricsRegistry, TraceSink};
+use netsession_hybrid::alerts::SeriesDetection;
+use netsession_hybrid::{ScaledAlert, ScenarioConfig};
+use netsession_logs::SeriesDigest;
+use netsession_obs::json::push_str_literal;
+use netsession_obs::{MergedSeries, MetricsRegistry, TraceSink};
 use netsession_world::population::PopulationConfig;
 use netsession_world::workload::WorkloadConfig;
 
@@ -165,6 +168,67 @@ pub fn write_trace_sidecar(name: &str, trace: &TraceSink) {
         Ok(()) => eprintln!("# trace sidecar: {}", path.display()),
         Err(e) => eprintln!("# trace sidecar skipped: {e}"),
     }
+}
+
+/// The `netsession-timeseries/1` sidecar both month engines write
+/// (`scale.timeseries.json`, `chaos.timeseries.json`): schema tag,
+/// recomputable series digest, the merged series, the structured
+/// injected-fault log (region indices resolved to the series' group
+/// labels), and the replayed detections. Deterministic bytes, so gates
+/// diff the files directly.
+pub fn timeseries_sidecar_json(
+    ts: &MergedSeries,
+    alerts: &[ScaledAlert],
+    detections: &[SeriesDetection],
+) -> String {
+    use std::fmt::Write;
+    let mut s = String::new();
+    let _ = writeln!(s, "{{");
+    let _ = writeln!(s, "  \"schema\": \"netsession-timeseries/1\",");
+    let _ = writeln!(s, "  \"digest\": \"{}\",", SeriesDigest::fingerprint(ts));
+    let _ = write!(s, "  \"series\": {},\n  \"alerts\": [", ts.to_json());
+    for (i, a) in alerts.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push_str("\n    {\"class\": ");
+        push_str_literal(&mut s, a.class);
+        let _ = write!(
+            s,
+            ", \"at_hours\": {}, \"window\": {}, \"region\": ",
+            a.at_hours, a.window
+        );
+        push_str_literal(&mut s, &ts.groups[a.region as usize]);
+        let _ = write!(s, ", \"detail\": {}}}", a.detail);
+    }
+    if !alerts.is_empty() {
+        s.push_str("\n  ");
+    }
+    s.push_str("],\n  \"detections\": [");
+    for (i, d) in detections.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push_str("\n    {\"region\": ");
+        match &d.region {
+            Some(r) => push_str_literal(&mut s, r),
+            None => s.push_str("null"),
+        }
+        s.push_str(", \"rule\": ");
+        push_str_literal(&mut s, &d.event.rule);
+        let _ = write!(
+            s,
+            ", \"raised\": {}, \"at_us\": {}, \"message\": ",
+            d.event.raised, d.event.at_us
+        );
+        push_str_literal(&mut s, &d.event.message);
+        s.push('}');
+    }
+    if !detections.is_empty() {
+        s.push_str("\n  ");
+    }
+    s.push_str("]\n}\n");
+    s
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! The §3.8 alert policy for the simulated deployment.
 //!
-//! One declarative rule set, evaluated two ways: the hybrid driver runs
-//! it over *virtual* time each observation interval (so a chaos campaign
-//! reports deterministic time-to-detection numbers), and the live
-//! `monitor_server` runs the same [`AlertEngine`] machinery over
-//! wall-clock scrapes. Rules watch the `hybrid.fault.*` counters the
-//! fault-injection subsystem maintains; every counter is either covered
-//! by a rule here or listed in [`ALLOWLIST`] with a reason —
-//! `scripts/check.sh` greps the source to keep that exhaustive.
+//! One declarative rule set, evaluated two ways: both month engines
+//! record a windowed [`MergedSeries`] and replay the rules over it in
+//! *virtual* time (so a chaos campaign reports deterministic
+//! time-to-detection numbers), and the live `monitor_server` runs the
+//! same [`AlertEngine`] machinery over wall-clock scrapes. Rules watch
+//! the `hybrid.fault.*` counters the fault-injection subsystem
+//! maintains; every counter is either covered by a rule here or listed
+//! in [`ALLOWLIST`] with a reason — `scripts/check.sh` greps the source
+//! to keep that exhaustive.
 //!
 //! Rule taxonomy:
 //!
@@ -18,18 +19,18 @@
 //!   disconnects, cut backstop flows, degraded edge-only downloads —
 //!   so an alert still raises when the cause counter is missing.
 //!
-//! A fault-free run never creates any `hybrid.fault.*` counter (they are
-//! lazily registered at first increment), so the zero-fault baseline is
-//! structurally incapable of false positives.
+//! A fault-free run never moves any `hybrid.fault.*` counter, so the
+//! zero-fault baseline is structurally incapable of false positives.
 //!
 //! [`FaultKind`]: crate::config::FaultKind
+//! [`AlertEngine`]: netsession_obs::AlertEngine
 
 use netsession_obs::{AlertEvent, AlertRule, MergedSeries, RuleKind};
 
 /// Observation window for every rate rule: one trailing hour of virtual
-/// (or wall) time. Detection latency is bounded by the driver's
-/// observation cadence, not by this window; the window only controls how
-/// long an alert stays raised after the burst ends.
+/// (or wall) time. Detection latency is bounded by the series window the
+/// rules are replayed over, not by this window; the window only controls
+/// how long an alert stays raised after the burst ends.
 pub const RULE_WINDOW_US: u64 = 3_600_000_000;
 
 /// Fault-class rule names, paired with the chaos campaign class each one
@@ -83,9 +84,8 @@ pub fn standard_rules() -> Vec<AlertRule> {
 }
 
 /// One alert transition from replaying the standard rules over a merged
-/// time series: the scaled runner's post-hoc equivalent of the hybrid
-/// driver's in-loop observation. `region` is `None` for the fleet-wide
-/// pass (all regions summed) and the region label otherwise.
+/// time series. `region` is `None` for the fleet-wide pass (all regions
+/// summed) and the region label otherwise.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SeriesDetection {
     /// Region the engine was scoped to, `None` = fleet-wide.
@@ -121,6 +121,24 @@ pub fn replay_standard_alerts(series: &MergedSeries) -> Vec<SeriesDetection> {
     out
 }
 
+/// The detection of one injected fault: the earliest raise of its class's
+/// rule ([`FAULT_CLASS_RULES`]) at or after the injection instant. Among
+/// raises at the same instant, one scoped to `region` wins; otherwise the
+/// log order of [`replay_standard_alerts`] (fleet-wide first) breaks the
+/// tie. `None` for an unknown class or a fault that was never detected.
+pub fn first_detection<'a>(
+    detections: &'a [SeriesDetection],
+    class: &str,
+    region: Option<&str>,
+    injected_us: u64,
+) -> Option<&'a SeriesDetection> {
+    let (_, rule, _) = FAULT_CLASS_RULES.iter().find(|(c, _, _)| *c == class)?;
+    detections
+        .iter()
+        .filter(|d| d.event.raised && d.event.rule == *rule && d.event.at_us >= injected_us)
+        .min_by_key(|d| (d.event.at_us, d.region.as_deref() != region))
+}
+
 /// Which fault classes a detection log raised, joined through
 /// [`FAULT_CLASS_RULES`]: returns the class labels (in rule-table order)
 /// whose class rule raised at least once anywhere. The scaled acceptance
@@ -140,6 +158,7 @@ pub fn detected_classes(detections: &[SeriesDetection]) -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FaultKind;
     use std::collections::BTreeSet;
 
     #[test]
@@ -166,13 +185,61 @@ mod tests {
         }
     }
 
+    fn raise(region: Option<&str>, rule: &str, at_us: u64) -> SeriesDetection {
+        SeriesDetection {
+            region: region.map(str::to_string),
+            event: AlertEvent {
+                at_us,
+                rule: rule.to_string(),
+                raised: true,
+                message: String::new(),
+            },
+        }
+    }
+
+    #[test]
+    fn first_detection_is_the_earliest_raise_at_or_after_injection() {
+        let mut clear = raise(None, "control-crash", 50);
+        clear.event.raised = false;
+        let log = vec![
+            raise(None, "control-crash", 10), // before the injection
+            clear,
+            raise(None, "directory-wipe", 60), // another class
+            raise(None, "control-crash", 90),
+            raise(Some("Europe"), "control-crash", 90),
+            raise(Some("India"), "control-crash", 70),
+        ];
+        let at = |region, injected| {
+            let d = first_detection(&log, "cn_crash", region, injected).unwrap();
+            (d.region.clone(), d.event.at_us)
+        };
+        // Earliest wins over scope: India's raise precedes the fleet's.
+        assert_eq!(at(Some("Europe"), 20), (Some("India".to_string()), 70));
+        // At a tie the requested scope wins, else fleet-wide (log order).
+        assert_eq!(at(Some("Europe"), 80), (Some("Europe".to_string()), 90));
+        assert_eq!(at(None, 80), (None, 90));
+        assert_eq!(at(Some("Africa"), 80), (None, 90));
+        // A raise exactly at the injection instant counts.
+        assert_eq!(at(None, 10), (None, 10));
+        assert!(first_detection(&log, "cn_crash", None, 91).is_none());
+        assert!(first_detection(&log, "no_such_class", None, 0).is_none());
+    }
+
     #[test]
     fn class_rules_cover_every_injectable_fault_kind() {
         // One rule per FaultKind variant; the chaos bench joins the TTD
         // table on these labels.
         let classes: BTreeSet<&str> = FAULT_CLASS_RULES.iter().map(|(c, _, _)| *c).collect();
-        for class in ["cn_crash", "dn_wipe", "edge_outage", "churn_burst"] {
-            assert!(classes.contains(class), "no detection rule for {class}");
+        for kind in [
+            FaultKind::CnCrash { region: 0 },
+            FaultKind::DnWipe { region: 0 },
+            FaultKind::EdgeOutage { region: 0, secs: 1 },
+            FaultKind::ChurnBurst { fraction: 0.5 },
+        ] {
+            assert!(
+                classes.contains(kind.class()),
+                "no detection rule for {kind:?}"
+            );
         }
     }
 }

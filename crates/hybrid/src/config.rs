@@ -47,6 +47,28 @@ pub enum FaultKind {
     },
 }
 
+impl FaultKind {
+    /// Class label, the key of [`crate::alerts::FAULT_CLASS_RULES`].
+    pub fn class(&self) -> &'static str {
+        match self {
+            FaultKind::CnCrash { .. } => "cn_crash",
+            FaultKind::DnWipe { .. } => "dn_wipe",
+            FaultKind::EdgeOutage { .. } => "edge_outage",
+            FaultKind::ChurnBurst { .. } => "churn_burst",
+        }
+    }
+
+    /// The region the fault hits; `None` for a fleet-wide churn burst.
+    pub fn region(&self) -> Option<u32> {
+        match *self {
+            FaultKind::CnCrash { region }
+            | FaultKind::DnWipe { region }
+            | FaultKind::EdgeOutage { region, .. } => Some(region),
+            FaultKind::ChurnBurst { .. } => None,
+        }
+    }
+}
+
 /// A scheduled fault: *what* fails and *when*.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultEvent {

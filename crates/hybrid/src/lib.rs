@@ -37,4 +37,4 @@ pub use scaled::{
     MAX_SHARDS, TS_INTERVAL_US, TS_METRICS,
 };
 pub use setup::Scenario;
-pub use sim::{HybridSim, RunStats, SimOutput};
+pub use sim::{HybridSim, RunStats, SimOutput, FLOW_TS_INTERVAL_US, FLOW_TS_METRICS};

@@ -520,7 +520,8 @@ pub struct ScaledAlert {
     pub class: &'static str,
     /// Schedule hour of the injection ([`FaultEvent::at_hours`]).
     pub at_hours: u64,
-    /// Time-series window index ([`TS_INTERVAL_US`] grid) of the injection.
+    /// Window index of the injection on its series' grid
+    /// ([`TS_INTERVAL_US`] here, 30 min for the per-flow engine).
     pub window: u32,
     /// Region index into [`Region::ALL`].
     pub region: u8,

@@ -32,16 +32,16 @@ use netsession_logs::geodb::GeoInfoRef;
 use netsession_logs::records::{DownloadOutcome, DownloadRecord, LoginRecord, TransferRecord};
 use netsession_logs::TraceDataset;
 use netsession_nat::matrix::{connectivity, Connectivity};
+use netsession_obs::timeseries::{merge_shards, MergedSeries, SeriesSpec, ShardSeries};
 use netsession_obs::{
-    AlertEngine, AlertEvent, Counter, Histogram, MetricsRegistry, RegistrySnapshot, SpanId,
-    TraceCtx, TraceSink,
+    AlertEvent, Counter, Histogram, MetricsRegistry, SpanId, TraceCtx, TraceSink,
 };
 use netsession_sim::engine::EventQueue;
 use netsession_sim::flownet::{FlowId, FlowNet, NodeId};
 use netsession_sim::queue::{BinaryHeapSched, EventSched, TimingWheel};
 use netsession_world::behaviour::UserModel;
 use netsession_world::cloning::AnomalyPlan;
-use netsession_world::geo::{region_of, WORLD_COUNTRIES};
+use netsession_world::geo::{region_of, Region, WORLD_COUNTRIES};
 use netsession_world::mobility::{MobilityConfig, MobilityPlan};
 
 /// Tick granularity for the fluid model.
@@ -52,11 +52,47 @@ const TAIL: SimDuration = SimDuration::from_days(2);
 /// Connection-success probabilities by traversal kind.
 const P_DIRECT: f64 = 0.97;
 const P_PUNCH: f64 = 0.85;
-/// Minimum virtual time between alert-engine observations. Evaluation
-/// piggybacks on whatever event pops next at-or-after the due time — no
-/// events of its own enter the queue, so same-seed runs with and without
-/// a rule change pop the identical event sequence.
-const OBS_EVERY: SimDuration = SimDuration::from_secs(60);
+/// Time-series window: half a simulated hour. It must stay shorter than
+/// the alert rules' one-hour window: faults are injected on the hour, so
+/// on an hour grid every detection would land exactly one hour late.
+pub const FLOW_TS_INTERVAL_US: u64 = 1_800_000_000;
+
+// Metric indices into [`FLOW_TS_METRICS`], used by the recording sites.
+const TS_DL_STARTED: usize = 0;
+const TS_DL_COMPLETED: usize = 1;
+const TS_BYTES_PEERS: usize = 2;
+const TS_ACTIVE: usize = 3;
+const TS_CN_CRASHES: usize = 4;
+const TS_DN_WIPES: usize = 5;
+const TS_EDGE_OUTAGES: usize = 6;
+const TS_CHURN_BURSTS: usize = 7;
+const TS_CHURN_OFFLINE: usize = 8;
+const TS_EDGE_ONLY: usize = 9;
+const TS_INJECTED: usize = 10;
+const TS_PEERS_DISCONNECTED: usize = 11;
+const TS_EDGE_FLOWS_CUT: usize = 12;
+
+/// The per-flow engine's time-series catalog, grouped by region (the one
+/// a peer is logged into, or the one a fault hits): the four workload
+/// metrics `tsreport` reads and the nine counters
+/// [`crate::alerts::standard_rules`] watch. Names and
+/// kinds shared with [`crate::scaled::TS_METRICS`] are spelled alike, so
+/// rules, lint and report join on either engine's series.
+pub const FLOW_TS_METRICS: &[SeriesSpec] = &[
+    SeriesSpec::counter("scaled.downloads_started"),
+    SeriesSpec::counter("scaled.downloads_completed"),
+    SeriesSpec::counter("scaled.bytes_peers"),
+    SeriesSpec::level("scaled.active_peers"),
+    SeriesSpec::counter("hybrid.fault.cn_crashes"),
+    SeriesSpec::counter("hybrid.fault.dn_wipes"),
+    SeriesSpec::counter("hybrid.fault.edge_outages"),
+    SeriesSpec::counter("hybrid.fault.churn_bursts"),
+    SeriesSpec::counter("hybrid.fault.churn_offline"),
+    SeriesSpec::counter("hybrid.fault.edge_only_downloads"),
+    SeriesSpec::counter("hybrid.fault.injected"),
+    SeriesSpec::counter("hybrid.fault.peers_disconnected"),
+    SeriesSpec::counter("hybrid.fault.edge_flows_cut"),
+];
 
 #[derive(Clone, Debug)]
 enum Event {
@@ -244,11 +280,15 @@ pub struct SimOutput {
     /// Chrome-trace/Perfetto JSON. Deterministic: all timestamps are
     /// virtual sim time and IDs come from a monotone counter.
     pub trace: TraceSink,
-    /// Raise/clear transitions from the [`crate::alerts::standard_rules`]
-    /// engine, evaluated over virtual time every [`OBS_EVERY`] of sim
-    /// time. Deterministic: timestamps are virtual, and a fault-free run
-    /// produces an empty log (no `hybrid.fault.*` counter ever exists).
+    /// Raise/clear transitions of [`crate::alerts::standard_rules`],
+    /// replayed fleet-wide over [`SimOutput::timeseries`]. Deterministic:
+    /// timestamps are window closes in virtual time, and a fault-free run
+    /// produces an empty log (its fault counters never move).
     pub alerts: Vec<AlertEvent>,
+    /// Per-(metric, region) series of [`FLOW_TS_METRICS`] on the
+    /// [`FLOW_TS_INTERVAL_US`] grid, spanning the month and its tail up to
+    /// and including the cutoff instant.
+    pub timeseries: MergedSeries,
 }
 
 /// The simulation driver.
@@ -258,6 +298,9 @@ pub struct HybridSim {
     user_model: UserModel,
     metrics: MetricsRegistry,
     trace: TraceSink,
+    /// Windowed telemetry, recorded at event time next to the registry
+    /// increments it mirrors.
+    series: ShardSeries,
 }
 
 impl HybridSim {
@@ -273,6 +316,7 @@ impl HybridSim {
             user_model: UserModel::default(),
             metrics,
             trace,
+            series: ShardSeries::new(FLOW_TS_METRICS, Region::ALL.len(), FLOW_TS_INTERVAL_US),
         }
     }
 
@@ -496,15 +540,6 @@ impl HybridSim {
             metrics.counter("hybrid.ev_readd"),
             metrics.counter("hybrid.ev_edge_recover"),
         ];
-        // §3.8 alerting over virtual time: the same AlertEngine the live
-        // monitor server runs over wall-clock scrapes, fed deterministic
-        // registry snapshots at >= OBS_EVERY intervals.
-        let mut alert_engine = AlertEngine::new(crate::alerts::standard_rules());
-        let mut next_obs = SimTime::ZERO;
-        // Reusable scrape buffer: the alert engine observes >= once per
-        // OBS_EVERY of virtual time (~43k scrapes per month); refreshing in
-        // place skips rebuilding three String-keyed maps each time.
-        let mut obs_snap = RegistrySnapshot::default();
         let hot = HotInstruments::from(&metrics);
         let ev_timings = [
             metrics.volatile_histogram("hybrid.ev_online_ns"),
@@ -521,14 +556,6 @@ impl HybridSim {
         while let Some((t, event)) = queue.pop() {
             if t > cutoff {
                 break;
-            }
-            if t >= next_obs {
-                // Scalars only: every alert rule kind reads counters and
-                // gauges (invariant pinned in obs's alert tests), so the
-                // ~43k in-loop scrapes skip histogram summarization.
-                metrics.scrape_scalars_into(&mut obs_snap);
-                alert_engine.observe(t.as_micros(), &obs_snap);
-                next_obs = t + OBS_EVERY;
             }
             let ev_kind = match &event {
                 Event::Online(_) => 0,
@@ -569,6 +596,7 @@ impl HybridSim {
                         &mut stats,
                         &hot,
                         &trace,
+                        &mut self.series,
                         t,
                     );
                     net.recompute_dirty();
@@ -601,6 +629,7 @@ impl HybridSim {
                         &mut stats,
                         &hot,
                         &trace,
+                        &mut self.series,
                         t,
                     );
                     net.recompute_dirty();
@@ -628,6 +657,7 @@ impl HybridSim {
                     let mut last = t;
                     for region in 0..self.scenario.plane.regions() {
                         let _ = self.scenario.plane.fail_dn(region);
+                        let mut region_dropped = 0;
                         for (guid, at) in self.scenario.plane.fail_cn(region, t) {
                             let Some(&p) = guid_owner.get(&guid) else {
                                 continue;
@@ -637,9 +667,16 @@ impl HybridSim {
                             }
                             peers.control_connected[p as usize] = false;
                             queue.schedule(at, Event::Readmit(p));
-                            dropped += 1;
+                            region_dropped += 1;
                             last = last.max(at);
                         }
+                        self.series.add(
+                            TS_PEERS_DISCONNECTED,
+                            region as usize,
+                            t.as_micros(),
+                            region_dropped as i64,
+                        );
+                        dropped += region_dropped;
                     }
                     metrics
                         .counter("hybrid.fault.peers_disconnected")
@@ -653,13 +690,20 @@ impl HybridSim {
                     advance(&mut dls, &active, &net, last_advance, t, &mut adv_rates);
                     last_advance = t;
                     let fault = self.scenario.config.faults.events[i as usize];
+                    let t_us = t.as_micros();
+                    // A fleet-wide burst has no region: its cause counters
+                    // go to the first group, so every series total still
+                    // equals its registry counter.
+                    let group = fault.kind.region().unwrap_or(0) as usize;
                     metrics.counter("hybrid.fault.injected").incr();
+                    self.series.add(TS_INJECTED, group, t_us, 1);
                     metrics.record_event_with(t.as_micros(), "hybrid", "fault", || {
                         format!("{:?}", fault.kind)
                     });
                     match fault.kind {
                         FaultKind::CnCrash { region } => {
                             metrics.counter("hybrid.fault.cn_crashes").incr();
+                            self.series.add(TS_CN_CRASHES, group, t_us, 1);
                             let fctx =
                                 trace.start_trace_always("fault_cn_crash", "fault", t.as_micros());
                             trace.add_attr(fctx.span, "region", region as u64);
@@ -680,6 +724,8 @@ impl HybridSim {
                             metrics
                                 .counter("hybrid.fault.peers_disconnected")
                                 .add(dropped);
+                            self.series
+                                .add(TS_PEERS_DISCONNECTED, group, t_us, dropped as i64);
                             trace.add_attr(fctx.span, "dropped", dropped);
                             // Span covers the paced reconnect wave (§3.8
                             // "smooth recovery").
@@ -687,6 +733,7 @@ impl HybridSim {
                         }
                         FaultKind::DnWipe { region } => {
                             metrics.counter("hybrid.fault.dn_wipes").incr();
+                            self.series.add(TS_DN_WIPES, group, t_us, 1);
                             let fctx =
                                 trace.start_trace_always("fault_dn_wipe", "fault", t.as_micros());
                             trace.add_attr(fctx.span, "region", region as u64);
@@ -709,6 +756,7 @@ impl HybridSim {
                         }
                         FaultKind::EdgeOutage { region, secs } => {
                             metrics.counter("hybrid.fault.edge_outages").incr();
+                            self.series.add(TS_EDGE_OUTAGES, group, t_us, 1);
                             let fctx = trace.start_trace_always(
                                 "fault_edge_outage",
                                 "fault",
@@ -741,6 +789,7 @@ impl HybridSim {
                                 }
                             }
                             metrics.counter("hybrid.fault.edge_flows_cut").add(cut);
+                            self.series.add(TS_EDGE_FLOWS_CUT, group, t_us, cut as i64);
                             trace.add_attr(fctx.span, "flows_cut", cut);
                             let until = t + SimDuration::from_secs(secs);
                             trace.end_span(fctx.span, until.as_micros());
@@ -748,6 +797,7 @@ impl HybridSim {
                         }
                         FaultKind::ChurnBurst { fraction } => {
                             metrics.counter("hybrid.fault.churn_bursts").incr();
+                            self.series.add(TS_CHURN_BURSTS, group, t_us, 1);
                             let fctx = trace.start_trace_always(
                                 "fault_churn_burst",
                                 "fault",
@@ -764,6 +814,8 @@ impl HybridSim {
                                     continue;
                                 }
                                 self.peer_offline(p, t, &mut peers, &mut net, &mut dls, &active);
+                                let region = peers.logged_region[p as usize] as usize;
+                                self.series.add(TS_CHURN_OFFLINE, region, t_us, 1);
                                 gone += 1;
                             }
                             metrics.counter("hybrid.fault.churn_offline").add(gone);
@@ -781,6 +833,7 @@ impl HybridSim {
                         &mut stats,
                         &hot,
                         &trace,
+                        &mut self.series,
                         t,
                     );
                     net.recompute_dirty();
@@ -841,6 +894,7 @@ impl HybridSim {
                         &mut stats,
                         &hot,
                         &trace,
+                        &mut self.series,
                         t,
                     );
                     self.requery(
@@ -888,6 +942,7 @@ impl HybridSim {
             &mut stats,
             &hot,
             &trace,
+            &mut self.series,
             cutoff,
         );
 
@@ -902,10 +957,14 @@ impl HybridSim {
         dataset.registrations = reg.into_iter().collect();
         dataset.registrations.sort_by_key(|(v, _)| *v);
 
-        // Final observation at the cutoff so alerts that went quiet near
-        // the end of the month still record their clear transition.
-        metrics.scrape_scalars_into(&mut obs_snap);
-        alert_engine.observe(cutoff.as_micros(), &obs_snap);
+        // §3.8 alerting: replay the standard rules over the recorded
+        // series, the same path the sharded runner takes. Touching the
+        // cutoff window makes the window count a function of the config
+        // alone, not of when the last event fired.
+        self.series.add(TS_DL_STARTED, 0, cutoff.as_micros(), 0);
+        let labels: Vec<String> = Region::ALL.iter().map(|r| r.label().to_string()).collect();
+        let timeseries = merge_shards(std::slice::from_ref(&self.series), &labels);
+        let alerts = timeseries.replay(crate::alerts::standard_rules(), None);
 
         SimOutput {
             dataset,
@@ -913,7 +972,8 @@ impl HybridSim {
             scenario: self.scenario,
             metrics,
             trace,
-            alerts: alert_engine.log().to_vec(),
+            alerts,
+            timeseries,
         }
     }
 
@@ -954,6 +1014,8 @@ impl HybridSim {
         let region = region_of(country, &country.cities[site.city]).index() as u32;
         peers.logged_region[i] = region;
         peers.online[i] = true;
+        self.series
+            .level_shift(TS_ACTIVE, region as usize, t.as_micros(), 1);
         peers.control_connected[i] = true;
         guid_owner.insert(spec.guid, p);
 
@@ -1071,6 +1133,8 @@ impl HybridSim {
         let region = peers.logged_region[p as usize];
         self.scenario.plane.logout(region, spec.guid);
         peers.online[p as usize] = false;
+        self.series
+            .level_shift(TS_ACTIVE, region as usize, t.as_micros(), -1);
         peers.control_connected[p as usize] = false;
     }
 
@@ -1313,6 +1377,8 @@ impl HybridSim {
                 self.metrics
                     .counter("hybrid.fault.edge_only_downloads")
                     .incr();
+                self.series
+                    .add(TS_EDGE_ONLY, region as usize, t.as_micros(), 1);
                 self.trace
                     .instant(ctx, "control_disconnected", "fault", t.as_micros());
             }
@@ -1337,6 +1403,8 @@ impl HybridSim {
         peers.active_download[p as usize] = Some(id);
         dls.push(dl);
         active.push(id);
+        self.series
+            .add(TS_DL_STARTED, region as usize, t.as_micros(), 1);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1688,6 +1756,7 @@ fn process_finished(
     stats: &mut RunStats,
     hot: &HotInstruments,
     trace: &TraceSink,
+    series: &mut ShardSeries,
     _now: SimTime,
 ) {
     let mut i = 0;
@@ -1754,6 +1823,8 @@ fn process_finished(
         }
         stats.p2p_bytes += bytes_peers as u64;
         stats.edge_bytes += dl.edge_bytes as u64;
+        let (group, ended_us) = (dl.region as usize, ended.as_micros());
+        series.add(TS_BYTES_PEERS, group, ended_us, bytes_peers as i64);
 
         // Edge receipt.
         if dl.edge_bytes >= 1.0 {
@@ -1793,6 +1864,7 @@ fn process_finished(
             DownloadOutcome::Completed => {
                 stats.completed += 1;
                 hot.downloads_completed.incr();
+                series.add(TS_DL_COMPLETED, group, ended_us, 1);
             }
             DownloadOutcome::Abandoned => {
                 stats.abandoned += 1;

@@ -314,10 +314,10 @@ mod tests {
         reg.scrape()
     }
 
-    /// Every rule kind evaluates against counters and gauges only. Hot
-    /// scrape loops rely on this to refresh snapshots with
-    /// `scrape_scalars_into` (histograms left stale); a rule kind that
-    /// reads `snap.histograms` must revisit those call sites first.
+    /// Every rule kind evaluates against counters and gauges only.
+    /// [`crate::MergedSeries::replay`] relies on this: its per-window
+    /// snapshots carry no histograms, so a rule kind that reads
+    /// `snap.histograms` must first teach the series to record them.
     #[test]
     fn rules_read_only_scalar_instruments() {
         let mut reg_snap = snap(|r| {

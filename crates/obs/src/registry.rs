@@ -293,127 +293,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Refresh `snap` in place from the current instrument values:
-    /// behaviourally identical to `*snap = self.scrape()`, but reusing the
-    /// snapshot's allocations. Intended for periodic scrape loops (the
-    /// simulated alert engine takes ~43k scrapes per month-long run);
-    /// in steady state no allocation happens at all.
-    ///
-    /// The buffer must be dedicated to this registry (instrument names are
-    /// only ever added to a registry, so a buffer refreshed against the
-    /// same registry always holds a subset of its names; a buffer from a
-    /// *different* registry may keep stale entries).
-    pub fn scrape_into(&self, snap: &mut RegistrySnapshot) {
-        self.scrape_scalars_into(snap);
-        {
-            let histograms = self.inner.histograms.lock().unwrap();
-            if snap.histograms.len() != histograms.len() {
-                snap.histograms.clear();
-            }
-            for (k, h) in histograms.iter() {
-                match snap.histograms.get_mut(k) {
-                    Some(v) => *v = HistogramSnapshot::of(h),
-                    None => {
-                        snap.histograms.insert(k.clone(), HistogramSnapshot::of(h));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Refresh only `snap.counters` and `snap.gauges` from the current
-    /// instrument values; `snap.histograms` is left untouched. Counter and
-    /// gauge values match what [`RegistryHandle::scrape`] would report.
-    ///
-    /// This is the scrape the simulated alert loop takes tens of thousands
-    /// of times per run: every [`crate::AlertEngine`] rule kind reads only
-    /// counters and gauges (pinned by a test in `alert.rs`), so summarizing
-    /// every histogram on each observation is pure overhead. In steady
-    /// state (no instruments registered since the last refresh) both maps
-    /// are updated by a single allocation-free in-order walk.
-    pub fn scrape_scalars_into(&self, snap: &mut RegistrySnapshot) {
-        {
-            let counters = self.inner.counters.lock().unwrap();
-            let expected =
-                counters.len() + usize::from(!counters.contains_key(EVENTS_DROPPED_COUNTER));
-            if snap.counters.len() != expected {
-                snap.counters.clear();
-            }
-            // Fast path: the snapshot already holds exactly the registry's
-            // names plus the synthetic drop counter. Both BTreeMaps iterate
-            // in sorted order, so a lockstep walk (skipping the synthetic
-            // key, which the registry may not have) replaces a per-key map
-            // lookup with one comparison per instrument.
-            let mut aligned = snap.counters.len() == expected;
-            if aligned {
-                let mut live = counters.iter();
-                let mut cur = live.next();
-                for (k, v) in snap.counters.iter_mut() {
-                    match cur {
-                        Some((lk, c)) if lk == k => {
-                            *v = c.get();
-                            cur = live.next();
-                        }
-                        _ if k == EVENTS_DROPPED_COUNTER => {}
-                        _ => {
-                            aligned = false;
-                            break;
-                        }
-                    }
-                }
-                aligned &= cur.is_none();
-            }
-            if !aligned {
-                for (k, c) in counters.iter() {
-                    match snap.counters.get_mut(k) {
-                        Some(v) => *v = c.get(),
-                        None => {
-                            snap.counters.insert(k.clone(), c.get());
-                        }
-                    }
-                }
-            }
-            let dropped = self.inner.events.dropped();
-            match snap.counters.get_mut(EVENTS_DROPPED_COUNTER) {
-                // A real counter named like the synthetic one: scrape()
-                // adds the drop count on top of its value (already copied
-                // above).
-                Some(v) if counters.contains_key(EVENTS_DROPPED_COUNTER) => *v += dropped,
-                Some(v) => *v = dropped,
-                None => {
-                    snap.counters
-                        .insert(EVENTS_DROPPED_COUNTER.to_string(), dropped);
-                }
-            }
-        }
-        {
-            let gauges = self.inner.gauges.lock().unwrap();
-            if snap.gauges.len() != gauges.len() {
-                snap.gauges.clear();
-            }
-            let mut aligned = snap.gauges.len() == gauges.len();
-            if aligned {
-                for ((k, v), (lk, g)) in snap.gauges.iter_mut().zip(gauges.iter()) {
-                    if k != lk {
-                        aligned = false;
-                        break;
-                    }
-                    *v = g.get();
-                }
-            }
-            if !aligned {
-                for (k, g) in gauges.iter() {
-                    match snap.gauges.get_mut(k) {
-                        Some(v) => *v = g.get(),
-                        None => {
-                            snap.gauges.insert(k.clone(), g.get());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Deterministic JSON snapshot: counters, gauges, histograms (with
     /// quantile estimates), and the buffered events. Two same-seed runs
     /// of a deterministic program produce byte-identical output here.
@@ -635,66 +514,6 @@ mod tests {
         assert!(hs.p50 <= hs.p99);
         // Volatile instruments stay out of the deterministic scrape.
         assert_eq!(snap.counter("wall"), 0);
-    }
-
-    #[test]
-    fn scrape_into_matches_scrape() {
-        let reg = MetricsRegistry::with_event_capacity(2);
-        reg.counter("c").add(7);
-        reg.gauge("g").set(-4);
-        reg.histogram("h").record(10);
-        let mut buf = RegistrySnapshot::default();
-        reg.scrape_into(&mut buf);
-        assert_eq!(buf, reg.scrape());
-        // Mutate values, add brand-new instruments, and overflow the event
-        // ring; the in-place refresh must track all of it.
-        reg.counter("c").add(1);
-        reg.counter("c2").incr();
-        reg.gauge("g").set(9);
-        reg.histogram("h").record(90);
-        reg.histogram("h2").record(5);
-        for t in 0..5 {
-            reg.record_event(t, "x", "y", "");
-        }
-        reg.scrape_into(&mut buf);
-        assert_eq!(buf, reg.scrape());
-        // Steady state: another refresh with nothing new stays equal.
-        reg.counter("c").add(2);
-        reg.scrape_into(&mut buf);
-        assert_eq!(buf, reg.scrape());
-    }
-
-    #[test]
-    fn scrape_scalars_into_matches_scrape_except_histograms() {
-        let reg = MetricsRegistry::with_event_capacity(2);
-        reg.counter("c").add(7);
-        reg.gauge("g").set(-4);
-        reg.histogram("h").record(10);
-        let mut buf = RegistrySnapshot::default();
-        reg.scrape_scalars_into(&mut buf);
-        let mut want = reg.scrape();
-        want.histograms.clear();
-        assert_eq!(buf, want);
-        // New instruments force the realignment path; values still match.
-        reg.counter("a_first").incr(); // sorts before "c"
-        reg.counter("z_last").add(3);
-        reg.gauge("g2").set(11);
-        reg.histogram("h").record(99); // must NOT appear in the buffer
-        for t in 0..5 {
-            reg.record_event(t, "x", "y", "");
-        }
-        reg.scrape_scalars_into(&mut buf);
-        let mut want = reg.scrape();
-        want.histograms.clear();
-        assert_eq!(buf, want);
-        // Steady state takes the aligned in-order walk.
-        reg.counter("c").add(2);
-        reg.gauge("g").set(1);
-        reg.scrape_scalars_into(&mut buf);
-        let mut want = reg.scrape();
-        want.histograms.clear();
-        assert_eq!(buf, want);
-        assert!(buf.histograms.is_empty());
     }
 
     #[test]

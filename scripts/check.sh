@@ -13,12 +13,12 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 echo "== cargo test --workspace"
 cargo test -q --workspace
 
-echo "== results golden (default repro == committed results/*.txt, alerts and traces)"
+echo "== results golden (default repro == committed results/*.txt, chaos series and traces)"
 # The default repro run simulates the standard month and the chaos
 # campaign and renders every default view; each report it writes must be
-# byte-identical to the committed one, and so must the deterministic
-# alert log and the two months' trace exports. Runs in $tmp so the
-# committed results/ are only read.
+# byte-identical to the committed one, and so must the chaos month's
+# time-series sidecar and the two months' trace exports. Runs in $tmp so
+# the committed results/ are only read.
 cargo build -q --release -p netsession-bench --bin repro
 repro_bin="$PWD/target/release/repro"
 tmp="$(mktemp -d)"
@@ -26,19 +26,19 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/golden"
 (cd "$tmp/golden" && "$repro_bin" 2>/dev/null)
 for f in "$tmp"/golden/results/*.txt "$tmp"/golden/results/*.trace.json \
-         "$tmp/golden/results/alerts.json"; do
+         "$tmp/golden/results/chaos.timeseries.json"; do
     cmp "$f" "results/$(basename "$f")"
 done
 
-echo "== repro determinism (same seed => byte-identical reports, traces and alerts)"
+echo "== repro determinism (same seed => byte-identical reports, traces and chaos series)"
 # Two reduced-scale runs of the headline and the chaos campaign: reports,
-# both months' trace exports and the alert sidecars must match
+# both months' trace exports and the chaos time-series sidecar must match
 # byte-for-byte (the metrics sidecars carry wall-clock timings).
 for run in 1 2; do
     mkdir "$tmp/det$run"
     (cd "$tmp/det$run" && "$repro_bin" --scale 2000 --downloads 3000 headline chaos 2>/dev/null)
 done
-for f in headline.txt chaos.txt alerts.txt alerts.json \
+for f in headline.txt chaos.txt alerts.txt chaos.timeseries.json \
          month.2000x3000.s20121001.trace.json chaos.2000x3000.s20121001.trace.json; do
     cmp "$tmp/det1/results/$f" "$tmp/det2/results/$f"
 done
@@ -106,6 +106,17 @@ cmp "$tmp/ts_seq.json" "$tmp/ts_par.json"
 if [ -e results/scale.timeseries.json ]; then
     "$scale_bin" --lint-timeseries results/scale.timeseries.json
 fi
+
+echo "== chaos series lint + tsreport over both engines' committed sidecars"
+# The per-flow engine writes the same schema: the fresh and the committed
+# chaos sidecar must lint (digest, injected=>detected join), and tsreport
+# must render each engine's committed artifact.
+"$scale_bin" --lint-timeseries "$tmp/golden/results/chaos.timeseries.json"
+"$scale_bin" --lint-timeseries results/chaos.timeseries.json
+cargo build -q --release -p netsession-bench --bin tsreport
+for f in results/scale.timeseries.json results/chaos.timeseries.json; do
+    ./target/release/tsreport "$f" >/dev/null
+done
 
 echo "== bench snapshot lint + smoke regression gate (perfbench --check)"
 # Parses results/bench/BENCH_*.json (schema + required fields), re-runs the
