@@ -17,7 +17,6 @@
 //! | [`astraffic`] | Fig 9a–c, Fig 10, Fig 11, §6.1 intra-AS and direct-link shares |
 //! | [`mobility`] | §6.2 AS-count mix, distance mix, connection rate |
 //! | [`guidgraph`] | Fig 12 secondary-GUID chain patterns |
-//! | [`streamview`] | §5.1 headline as a streaming sink (million-peer runs) |
 //! | [`timeseries`] | diurnal folds, peaks/troughs, anomaly ranking over windowed telemetry |
 
 pub mod astraffic;
@@ -31,7 +30,6 @@ pub mod settings;
 pub mod sizes;
 pub mod speeds;
 pub mod stats;
-pub mod streamview;
 pub mod timeseries;
 
 pub use stats::Cdf;

@@ -6,6 +6,7 @@
 //! remained within 10 km… on average, the control plane receives 20,922
 //! new connections per minute."
 
+use netsession_core::geo::haversine_km;
 use netsession_logs::TraceDataset;
 use std::collections::{HashMap, HashSet};
 
@@ -24,20 +25,6 @@ pub struct MobilitySummary {
     pub within_10km: f64,
     /// Mean new control-plane connections per minute.
     pub connections_per_minute: f64,
-}
-
-fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
-    const R: f64 = 6371.0;
-    let (la1, lo1, la2, lo2) = (
-        lat1.to_radians(),
-        lon1.to_radians(),
-        lat2.to_radians(),
-        lon2.to_radians(),
-    );
-    let dlat = la2 - la1;
-    let dlon = lo2 - lo1;
-    let a = (dlat / 2.0).sin().powi(2) + la1.cos() * la2.cos() * (dlon / 2.0).sin().powi(2);
-    2.0 * R * a.sqrt().atan2((1.0 - a).sqrt())
 }
 
 /// Compute the §6.2 summary from login records.

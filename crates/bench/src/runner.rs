@@ -96,7 +96,9 @@ impl Default for ExperimentArgs {
 
 impl ExperimentArgs {
     /// Read `--scale <peers>`, `--downloads <n>` and `--seed <s>`; every
-    /// argument that is not a flag comes back as a positional.
+    /// argument that is not a flag comes back as a positional. A zero
+    /// `--scale` is a usage error (a month needs a peer); zero downloads
+    /// is a valid, empty month.
     pub fn parse(cli: &mut Cli) -> Result<(ExperimentArgs, Vec<String>), String> {
         let mut args = ExperimentArgs::default();
         let mut positionals = Vec::new();
@@ -108,6 +110,9 @@ impl ExperimentArgs {
                 flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
                 _ => positionals.push(arg),
             }
+        }
+        if args.peers == 0 {
+            return Err("--scale must be at least 1 peer".into());
         }
         Ok((args, positionals))
     }
@@ -295,6 +300,12 @@ mod tests {
             "--scale: bad value \"lots\""
         );
         assert!(parse(&["--seed", "-1"]).is_err());
+        assert_eq!(
+            parse(&["--scale", "0"]).unwrap_err(),
+            "--scale must be at least 1 peer"
+        );
+        // An empty month is valid; a month with no peers is not.
+        assert_eq!(parse(&["--downloads", "0"]).unwrap().0.downloads, 0);
     }
 
     #[test]

@@ -28,6 +28,7 @@ fn repro_rejects_bad_arguments_with_usage() {
     assert_usage_error(repro, &["--bogus", "1"]);
     assert_usage_error(repro, &["headline", "--scale"]);
     assert_usage_error(repro, &["--scale", "many"]);
+    assert_usage_error(repro, &["--scale", "0"]);
     assert_usage_error(repro, &["no_such_view"]);
 }
 

@@ -10,19 +10,22 @@
 //! * identifiers ([`Guid`], [`SecondaryGuid`], [`ObjectId`], [`CpCode`],
 //!   [`AsNumber`], …) — §3.4 of the paper,
 //! * an in-repo SHA-256 implementation ([`hash`]) used for content-integrity
-//!   piece hashes and for log anonymization — §3.5, §4.1,
+//!   piece hashes (§3.5) and the log pipeline's stream digests,
 //! * piece bookkeeping ([`piece::PieceMap`], [`piece::Manifest`]) for the
 //!   BitTorrent-like swarming protocol — §3.4,
 //! * a compact, hand-rolled binary wire codec ([`codec`]) and the NetSession
 //!   control/swarm protocol messages ([`msg`]) — §3.4–3.6,
 //! * provider policies and per-download configuration ([`policy`]) — §3.5,
 //! * simulated time ([`time::SimTime`]) and traffic units ([`units`]),
+//! * great-circle distance ([`geo::haversine_km`]) for the §6.2 mobility
+//!   analysis,
 //! * a deterministic, splittable PRNG ([`rng::DetRng`]) so that every
 //!   experiment in the workspace is exactly reproducible from a seed.
 
 pub mod codec;
 pub mod error;
 pub mod fxhash;
+pub mod geo;
 pub mod hash;
 pub mod id;
 pub mod msg;

@@ -304,11 +304,11 @@ pub struct HybridSim {
 }
 
 impl HybridSim {
-    /// Create from a built scenario. The event-ring depth and the trace
-    /// sampling rate come from the scenario's `obs` section.
+    /// Create from a built scenario. The trace sampling rate comes from
+    /// the scenario's `obs` section.
     pub fn new(scenario: Scenario) -> Self {
         let rng = DetRng::seeded(scenario.config.seed ^ 0x73696d);
-        let metrics = MetricsRegistry::with_event_capacity(scenario.config.obs.event_ring_capacity);
+        let metrics = MetricsRegistry::new();
         let trace = TraceSink::new(scenario.config.obs.trace_sample_every);
         HybridSim {
             scenario,
@@ -697,9 +697,7 @@ impl HybridSim {
                     let group = fault.kind.region().unwrap_or(0) as usize;
                     metrics.counter("hybrid.fault.injected").incr();
                     self.series.add(TS_INJECTED, group, t_us, 1);
-                    metrics.record_event_with(t.as_micros(), "hybrid", "fault", || {
-                        format!("{:?}", fault.kind)
-                    });
+                    metrics.record_event(t_us, "hybrid", "fault", format!("{:?}", fault.kind));
                     match fault.kind {
                         FaultKind::CnCrash { region } => {
                             metrics.counter("hybrid.fault.cn_crashes").incr();
@@ -876,9 +874,12 @@ impl HybridSim {
                     metrics
                         .counter("hybrid.fault.edge_flows_restored")
                         .add(restored);
-                    metrics.record_event_with(t.as_micros(), "hybrid", "edge_recover", || {
-                        format!("region {region}: {restored} backstop flows re-attached")
-                    });
+                    metrics.record_event(
+                        t.as_micros(),
+                        "hybrid",
+                        "edge_recover",
+                        format!("region {region}: {restored} backstop flows re-attached"),
+                    );
                     net.recompute_dirty();
                 }
                 Event::Tick => {
@@ -1910,7 +1911,7 @@ fn process_finished(
             }
         }
 
-        // Download record + usage report + monitoring sample.
+        // Download record + usage report.
         let record = DownloadRecord {
             guid: spec.guid,
             object: dl.object,
@@ -1927,10 +1928,6 @@ fn process_finished(
             country: spec.country as u16,
             region: spec.region().index() as u8,
         };
-        scenario
-            .plane
-            .monitor
-            .report_speed(ended, record.mean_speed());
         scenario
             .plane
             .accept_usage(dl.region, vec![record_to_usage(&record)]);

@@ -5,8 +5,8 @@
 //! interval, aggregates the fleet into a single
 //! [`RegistrySnapshot`], (b) accepts §3.6 problem reports pushed by
 //! peer daemons over the framed protocol, and (c) evaluates an
-//! [`AlertEngine`] — the same engine the hybrid simulator runs over
-//! virtual time — against the merged state, so "automated alerts ...
+//! [`AlertEngine`] — the same engine that replays the simulators'
+//! windowed series — against the merged state, so "automated alerts ...
 //! notify network engineers in case of large-scale problems" (§3.8).
 //!
 //! Per-target liveness is tracked as `monitor.up.<name>` gauges (1 =
@@ -275,10 +275,11 @@ fn receive_problems(mut stream: TcpStream, shared: Arc<MonShared>) {
             .metrics
             .counter(&format!("monitor.problems.{}", kind.label()))
             .incr();
-        shared
-            .metrics
-            .record_event_with(wall_now().as_micros(), "monitor", kind.label(), || {
-                format!("guid={:016x} {detail}", guid.0 as u64)
-            });
+        shared.metrics.record_event(
+            wall_now().as_micros(),
+            "monitor",
+            kind.label(),
+            format!("guid={:016x} {detail}", guid.0 as u64),
+        );
     }
 }

@@ -11,17 +11,18 @@
 //!   a gauge breaches a bound and stays breached for the rule's window
 //!   (`window_us == 0` fires on the first breached observation);
 //! - **rate-of-change** ([`RuleKind::RateAbove`]): a counter increases by
-//!   at least `delta` within the trailing window — the problem-burst
-//!   alert of `control/src/monitor.rs`, generalized to any counter;
+//!   at least `delta` within the trailing window — e.g. the live
+//!   monitor's problem-burst alert;
 //! - **absence** ([`RuleKind::Absent`]): a counter that should always be
 //!   moving (heartbeats, scrape successes) shows no increase for a full
 //!   window.
 //!
 //! The engine is deterministic by construction: evaluation depends only
 //! on the observation timestamps and the snapshot values, never on wall
-//! time, so the hybrid simulator can run the *same* engine over virtual
-//! time and assert byte-identical alert logs across same-seed runs,
-//! while the live monitor server feeds it wall-clock scrapes.
+//! time, so [`crate::MergedSeries::replay`] can run the *same* engine over
+//! a simulated month's windowed series and assert byte-identical alert
+//! logs across same-seed runs, while the live monitor server feeds it
+//! wall-clock scrapes.
 //!
 //! Counter semantics follow Prometheus `increase()`: a counter observed
 //! *below* its previous value is a process restart, and the new value

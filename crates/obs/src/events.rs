@@ -18,69 +18,30 @@ pub struct Event {
     pub detail: String,
 }
 
+#[derive(Default)]
 struct RingInner {
     /// Oldest-first buffer plus count of events dropped off the front.
     buf: VecDeque<Event>,
     dropped: u64,
 }
 
-/// A bounded ring of [`Event`]s: pushing beyond capacity drops the
-/// oldest entries (and counts them), so long runs keep the tail of their
-/// event history at a fixed memory cost.
-///
-/// Capacity 0 disables the ring entirely: [`EventRing::accepts`] returns
-/// `false` and pushes are discarded without locking, which lets callers
-/// skip building detail strings (see
-/// [`crate::MetricsRegistry::record_event_with`]).
-#[derive(Clone)]
+/// Events a ring keeps; enough for the interesting tail of a month
+/// simulation without holding the whole log.
+pub const EVENT_CAPACITY: usize = 1024;
+
+/// A bounded ring of [`Event`]s: pushing beyond [`EVENT_CAPACITY`] drops
+/// the oldest entries (and counts them), so long runs keep the tail of
+/// their event history at a fixed memory cost.
+#[derive(Clone, Default)]
 pub struct EventRing {
-    /// Fixed at construction; kept outside the mutex so `accepts` is a
-    /// plain read.
-    capacity: usize,
     inner: Arc<Mutex<RingInner>>,
 }
 
-/// Default event capacity; enough for the interesting tail of a month
-/// simulation without holding the whole log.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
-
-impl Default for EventRing {
-    fn default() -> EventRing {
-        EventRing::with_capacity(DEFAULT_EVENT_CAPACITY)
-    }
-}
-
 impl EventRing {
-    /// A ring holding at most `capacity` events (0 = disabled).
-    pub fn with_capacity(capacity: usize) -> EventRing {
-        EventRing {
-            capacity,
-            inner: Arc::new(Mutex::new(RingInner {
-                buf: VecDeque::with_capacity(capacity.min(DEFAULT_EVENT_CAPACITY)),
-                dropped: 0,
-            })),
-        }
-    }
-
-    /// Whether pushed events are kept at all. `false` only for a
-    /// zero-capacity (disabled) ring.
-    pub fn accepts(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// The fixed capacity this ring was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Append an event, evicting the oldest when full. Discards the
-    /// event when the ring is disabled.
+    /// Append an event, evicting the oldest when full.
     pub fn push(&self, event: Event) {
-        if self.capacity == 0 {
-            return;
-        }
         let mut inner = self.inner.lock().unwrap();
-        if inner.buf.len() == self.capacity {
+        if inner.buf.len() == EVENT_CAPACITY {
             inner.buf.pop_front();
             inner.dropped += 1;
         }
@@ -123,29 +84,21 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest() {
-        let ring = EventRing::with_capacity(3);
-        for t in 0..5 {
+        let ring = EventRing::default();
+        let pushed = EVENT_CAPACITY as u64 + 2;
+        for t in 0..pushed {
             ring.push(ev(t));
         }
         let got: Vec<u64> = ring.events().iter().map(|e| e.t).collect();
-        assert_eq!(got, vec![2, 3, 4]);
+        assert_eq!(got.len(), EVENT_CAPACITY);
+        assert_eq!(got.first(), Some(&2));
+        assert_eq!(got.last(), Some(&(pushed - 1)));
         assert_eq!(ring.dropped(), 2);
     }
 
     #[test]
     fn empty_ring() {
         let ring = EventRing::default();
-        assert!(ring.is_empty());
-        assert!(ring.accepts());
-        assert_eq!(ring.capacity(), DEFAULT_EVENT_CAPACITY);
-        assert_eq!(ring.dropped(), 0);
-    }
-
-    #[test]
-    fn zero_capacity_disables_recording() {
-        let ring = EventRing::with_capacity(0);
-        assert!(!ring.accepts());
-        ring.push(ev(1));
         assert!(ring.is_empty());
         assert_eq!(ring.dropped(), 0);
     }

@@ -213,9 +213,10 @@ mod tests {
 
     #[test]
     fn events_dropped_counter_is_exposed() {
-        let reg = MetricsRegistry::with_event_capacity(1);
-        reg.record_event(0, "c", "k", "");
-        reg.record_event(1, "c", "k", "");
+        let reg = MetricsRegistry::new();
+        for t in 0..=crate::EVENT_CAPACITY as u64 {
+            reg.record_event(t, "c", "k", "");
+        }
         let text = render_prometheus(&reg.scrape());
         assert!(text.contains("obs.events.dropped 1"));
     }

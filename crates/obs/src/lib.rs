@@ -96,7 +96,7 @@ pub mod timeseries;
 mod trace;
 
 pub use alert::{AlertEngine, AlertEvent, AlertRule, RuleKind};
-pub use events::{Event, EventRing, DEFAULT_EVENT_CAPACITY};
+pub use events::{Event, EventRing, EVENT_CAPACITY};
 pub use expo::{parse_prometheus, render_prometheus};
 pub use instruments::{Counter, Gauge, Histogram};
 pub use profile::{

@@ -142,18 +142,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// A registry whose event ring holds at most `capacity` events
-    /// (0 disables event recording entirely — see
-    /// [`MetricsRegistry::record_event_with`]).
-    pub fn with_event_capacity(capacity: usize) -> MetricsRegistry {
-        MetricsRegistry {
-            inner: Arc::new(Inner {
-                events: EventRing::with_capacity(capacity),
-                ..Inner::default()
-            }),
-        }
-    }
-
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
         self.inner
@@ -217,41 +205,12 @@ impl MetricsRegistry {
     }
 
     /// Record one structured event.
-    ///
-    /// Prefer [`MetricsRegistry::record_event_with`] on hot paths where
-    /// the detail string is formatted: this variant forces the caller to
-    /// build `detail` even when the ring is disabled.
     pub fn record_event(&self, t: u64, component: &str, kind: &str, detail: impl Into<String>) {
-        if !self.inner.events.accepts() {
-            return;
-        }
         self.inner.events.push(Event {
             t,
             component: component.to_string(),
             kind: kind.to_string(),
             detail: detail.into(),
-        });
-    }
-
-    /// Record one structured event with a lazily built detail string:
-    /// `detail` runs only when the event ring actually keeps events, so
-    /// recording against a disabled ring costs a plain field read and no
-    /// allocation.
-    pub fn record_event_with(
-        &self,
-        t: u64,
-        component: &str,
-        kind: &str,
-        detail: impl FnOnce() -> String,
-    ) {
-        if !self.inner.events.accepts() {
-            return;
-        }
-        self.inner.events.push(Event {
-            t,
-            component: component.to_string(),
-            kind: kind.to_string(),
-            detail: detail(),
         });
     }
 
@@ -480,11 +439,11 @@ mod tests {
 
     #[test]
     fn event_ring_drops_surface_in_snapshots() {
-        let reg = MetricsRegistry::with_event_capacity(2);
-        for t in 0..5 {
+        let reg = MetricsRegistry::new();
+        for t in 0..crate::EVENT_CAPACITY as u64 + 3 {
             reg.record_event(t, "comp", "tick", "");
         }
-        // 5 pushed into a 2-slot ring: 3 evicted.
+        // 3 pushed past a full ring: 3 evicted.
         assert!(reg.snapshot_json().contains("\"obs.events.dropped\": 3"));
         assert!(reg
             .full_snapshot_json()

@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 pub struct UploadGovernor {
     /// Active configuration (pushed by the control plane, §3.4).
     pub config: TransferConfig,
-    /// Whether uploads are enabled at all (mirrors preferences).
+    /// Whether uploads are enabled at all (mirrors the user's setting).
     uploads_enabled: bool,
     /// Whether the user's own traffic is currently using the link.
     link_busy: bool,
@@ -37,7 +37,7 @@ impl UploadGovernor {
         }
     }
 
-    /// Mirror a preferences change.
+    /// Mirror a change of the user's upload setting.
     pub fn set_uploads_enabled(&mut self, enabled: bool) {
         self.uploads_enabled = enabled;
         if !enabled {

@@ -18,17 +18,16 @@
 //!   honouring per-flow rate ceilings (upload throttles). This is the
 //!   standard abstraction for CDN-scale simulation, where packet-level
 //!   detail is irrelevant but bandwidth sharing is everything.
-//! * [`latency`] — a simple geographic + AS-locality latency model used for
-//!   connection-setup delays and STUN round trips.
+//! * [`shard`] — a conservative windowed runner that steps many
+//!   [`EventQueue`]s in parallel, bit-identical to its sequential oracle
+//!   (drives the million-peer `run_scaled` month).
 
 pub mod engine;
 pub mod flownet;
-pub mod latency;
 pub mod queue;
 pub mod shard;
 
 pub use engine::{EventQueue, OracleEventQueue};
 pub use flownet::{FlowId, FlowNet, NodeId};
-pub use latency::LatencyModel;
 pub use queue::{BinaryHeapSched, EventSched, TimingWheel};
 pub use shard::{Outbox, ShardRunner, ShardStats, ShardWorker};

@@ -10,6 +10,7 @@
 use crate::asn::AsModel;
 use crate::geo::WORLD_COUNTRIES;
 use crate::population::PeerSpec;
+use netsession_core::geo::haversine_km;
 use netsession_core::id::AsNumber;
 use netsession_core::rng::DetRng;
 
@@ -158,28 +159,11 @@ impl MobilityPlan {
             for j in (i + 1)..self.sites.len() {
                 let a = &self.sites[i];
                 let b = &self.sites[j];
-                max = max.max(netsession_sim_haversine(a.lat, a.lon, b.lat, b.lon));
+                max = max.max(haversine_km(a.lat, a.lon, b.lat, b.lon));
             }
         }
         max
     }
-}
-
-/// Haversine distance (km). Duplicated trivially here to keep `world`
-/// independent of the sim crate; the formula is covered by tests in both
-/// places.
-fn netsession_sim_haversine(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
-    const R: f64 = 6371.0;
-    let (la1, lo1, la2, lo2) = (
-        lat1.to_radians(),
-        lon1.to_radians(),
-        lat2.to_radians(),
-        lon2.to_radians(),
-    );
-    let dlat = la2 - la1;
-    let dlon = lo2 - lo1;
-    let a = (dlat / 2.0).sin().powi(2) + la1.cos() * la2.cos() * (dlon / 2.0).sin().powi(2);
-    2.0 * R * a.sqrt().atan2((1.0 - a).sqrt())
 }
 
 #[cfg(test)]

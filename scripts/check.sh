@@ -54,6 +54,39 @@ if [ -n "$missing" ]; then
     exit 1
 fi
 
+echo "== doc citations resolve (backticked paths and crate::module names in the docs exist)"
+# A backticked repo path (has a '/', ends in a source/artifact extension)
+# must exist from the repo root or from crates/; a backticked
+# `[netsession-|netsession_]<crate>::<name>` must name a module file or
+# directory of that crate, or a word on a non-comment line of its lib.rs.
+docs=(README.md DESIGN.md EXPERIMENTS.md docs/*.md)
+unresolved=""
+npaths=0
+while IFS=: read -r file line cite; do
+    path="${cite//\`/}"
+    npaths=$((npaths + 1))
+    [ -e "$path" ] || [ -e "crates/$path" ] || unresolved="$unresolved $file:$line:$path"
+done < <(grep -noE '`[A-Za-z0-9_./-]*/[A-Za-z0-9_./-]*\.(rs|json|txt|md|sh|py|toml)`' "${docs[@]}")
+nmods=0
+while IFS=: read -r file line cite; do
+    cite="${cite#\`}"
+    crate="${cite%%::*}"
+    crate="${crate#netsession[-_]}"
+    name="${cite#*::}"
+    lib="crates/$crate/src/lib.rs"
+    [ -e "$lib" ] || continue
+    nmods=$((nmods + 1))
+    [ -e "crates/$crate/src/$name.rs" ] || [ -d "crates/$crate/src/$name" ] ||
+        grep -v '^[[:space:]]*//' "$lib" | grep -qw "$name" ||
+        unresolved="$unresolved $file:$line:$cite"
+done < <(grep -noE '`(netsession[-_])?[a-z]+::[A-Za-z_][A-Za-z0-9_]*' "${docs[@]}")
+if [ -n "$unresolved" ]; then
+    echo "doc citations that name no file or module:" >&2
+    printf '  %s\n' $unresolved >&2
+    exit 1
+fi
+echo "$npaths paths and $nmods module citations resolve"
+
 echo "== shard determinism (2-shard parallel == sequential oracle, smoke scale)"
 # The sharded million-peer runner must be an optimization, not an
 # approximation: stdout (merged report, per-region SHA-256 stream digests,
